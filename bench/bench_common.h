@@ -129,7 +129,9 @@ inline unsigned sweep_threads(const util::ArgParser& args, std::size_t points,
 //   --json out.json          machine-readable bench metrics
 //   --baseline base.json     diff metrics against this file; the bench
 //                            exits non-zero when a metric regressed
-//   --diff-tolerance P       allowed relative increase (percent)
+//   --diff-tolerance P       allowed relative increase (percent); 0
+//                            with --diff-abs-tolerance 0 is exact:
+//                            any change fails, a drop as well as a rise
 //   --diff-abs-tolerance A   allowed absolute increase for metrics
 //                            whose baseline value is zero
 //
@@ -163,7 +165,8 @@ inline void add_observability_flags(util::ArgParser& args) {
                   "(non-zero exit on regression)",
                   "");
   args.add_double("diff-tolerance",
-                  "allowed relative metric increase for --baseline (percent)",
+                  "allowed relative metric increase for --baseline (percent); "
+                  "0 with --diff-abs-tolerance 0 fails on any change",
                   0.0);
   args.add_double("diff-abs-tolerance",
                   "allowed absolute increase for zero-valued baseline metrics",

@@ -62,10 +62,11 @@ int main(int argc, char** argv) {
           obs.apply(opt);
           const bfs::BfsResult r = run_validated(obs.tuned(dev.config), g, spec.source, opt);
           obs.after_run(std::string(to_string(variant)));
-          obs.record_metric(dev.config.name + "." + spec.name + "." +
-                                std::string(to_string(variant)) + ".wg" +
-                                std::to_string(wgs) + ".cycles",
-                            static_cast<double>(r.run.cycles));
+          const std::string key = dev.config.name + "." + spec.name + "." +
+                                  std::string(to_string(variant)) + ".wg" +
+                                  std::to_string(wgs);
+          obs.record_metric(key + ".cycles", static_cast<double>(r.run.cycles));
+          obs.record_metric(key + ".attempts", r.attempts);
           if (wgs == 1) base_seconds[vi] = r.run.seconds;
           const double speedup = base_seconds[vi] / r.run.seconds;
           std::printf(" %12.6f %8.2fx", r.run.seconds, speedup);

@@ -122,6 +122,7 @@ int main(int argc, char** argv) {
       simt::Cycle cycles = 0;
       std::uint64_t supersteps = 0, delivered = 0, stolen = 0;
       double cut = 0.0;
+      std::uint32_t attempts = 0;
       std::string error;
     };
     std::vector<Point> points;
@@ -156,6 +157,7 @@ int main(int argc, char** argv) {
                r.run.router.stolen,
                static_cast<double>(r.cut_edges) /
                    std::max<double>(1.0, static_cast<double>(g.num_edges())),
+               r.attempts,
                {}};
       } else {
         const bfs::ClusterBfsResult r =
@@ -168,6 +170,7 @@ int main(int argc, char** argv) {
                r.run.router.stolen,
                static_cast<double>(r.cut_edges) /
                    std::max<double>(1.0, static_cast<double>(g.num_edges())),
+               r.attempts,
                {}};
       }
     });
@@ -190,6 +193,7 @@ int main(int argc, char** argv) {
       obs.record_metric(key + ".cycles", static_cast<double>(r.cycles));
       obs.record_metric(key + ".supersteps",
                         static_cast<double>(r.supersteps));
+      obs.record_metric(key + ".attempts", r.attempts);
 
       if (base_cycles[p.vi] == 0.0) {
         base_cycles[p.vi] = static_cast<double>(r.cycles);

@@ -184,6 +184,7 @@ int main(int argc, char** argv) {
     obs.record_metric(key + ".amplification", amplification);
     obs.record_metric(key + ".cycles",
                       static_cast<double>(r.result.run.cycles));
+    obs.record_metric(key + ".attempts", r.result.attempts);
   }
   table.print();
   obs.set_task_stats(std::move(stats_table));

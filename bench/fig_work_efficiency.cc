@@ -129,7 +129,8 @@ int main(int argc, char** argv) {
     }
 
     // Everything recorded is higher-is-worse for the perf_diff guard:
-    // relaxations, cycles, and the work-efficiency ratios themselves.
+    // relaxations, cycles, the work-efficiency ratios themselves, and
+    // the attempt counts (a new deadlock retry fails the diff).
     obs.record_metric(w.name + ".fifo.edges_relaxed",
                       static_cast<double>(rf.run.stats.user[kEdgesRelaxed]));
     obs.record_metric(w.name + ".delta.edges_relaxed",
@@ -142,6 +143,8 @@ int main(int argc, char** argv) {
                       static_cast<double>(rd.run.cycles));
     obs.record_metric(w.name + ".delta.stale_skips",
                       static_cast<double>(rd.run.stats.user[kStaleSkips]));
+    obs.record_metric(w.name + ".fifo.attempts", rf.attempts);
+    obs.record_metric(w.name + ".delta.attempts", rd.attempts);
   }
   table.print();
 

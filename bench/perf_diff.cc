@@ -4,11 +4,13 @@
 // tolerance or vanished from the current run, so CI can gate on it.
 //
 //   ./perf_diff --baseline results/baselines/bfs_rfan.json
-//               --current out.json [--tolerance 5] [--all]
+//               --current out.json [--tolerance 0] [--all]
 //
 // The simulator is integer-deterministic: a same-seed rerun reproduces
 // every metric exactly, so checked-in baselines diff cleanly at
-// tolerance 0 and any drift is a real behavior change.
+// tolerance 0 and any drift is a real behavior change. At tolerance 0
+// (and abs-tolerance 0) the diff is exact and two-sided: a drop fails
+// as well as a rise.
 #include <cstdio>
 
 #include "util/args.h"
@@ -42,7 +44,9 @@ int main(int argc, char** argv) {
                        "compare two perf artifacts; non-zero exit on regression");
   args.add_string("baseline", "baseline metrics JSON (bench or telemetry)", "");
   args.add_string("current", "current metrics JSON to check", "");
-  args.add_double("tolerance", "allowed relative increase per metric (percent)",
+  args.add_double("tolerance",
+                  "allowed relative increase per metric (percent); 0 with "
+                  "abs-tolerance 0 fails on any change",
                   0.0);
   args.add_double("abs-tolerance",
                   "allowed absolute increase for zero-valued baseline metrics",

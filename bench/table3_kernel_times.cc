@@ -69,6 +69,7 @@ int main(int argc, char** argv) {
                           static_cast<double>(r.run.stats.user[kQueueAtomics]));
         obs.record_metric(key + ".cas_failures",
                           static_cast<double>(r.run.stats.cas_failures));
+        obs.record_metric(key + ".attempts", r.attempts);
         csv.add_row({dev.config.name, std::to_string(dev.paper_workgroups),
                      spec.name, std::string(to_string(variant)),
                      util::Table::fmt_double(r.run.seconds, 6),

@@ -44,14 +44,20 @@ DeviceGraph upload_graph(simt::Device& dev, const graph::Graph& g) {
   return dg;
 }
 
-std::vector<std::uint32_t> read_levels(simt::Device& dev, const DeviceGraph& dg) {
-  std::vector<std::uint32_t> levels(dg.n_vertices, graph::kUnreached);
-  for (Vertex v = 0; v < dg.n_vertices; ++v) {
-    const std::uint64_t word = dev.read_word(dg.cost.at(v));
-    levels[v] = word == kUnvisited ? graph::kUnreached
-                                   : static_cast<std::uint32_t>(word);
+std::vector<std::uint32_t> levels_from_cost(
+    const std::vector<std::uint64_t>& cost) {
+  std::vector<std::uint32_t> levels(cost.size());
+  for (std::size_t v = 0; v < cost.size(); ++v) {
+    levels[v] = cost[v] == kUnvisited ? graph::kUnreached
+                                      : static_cast<std::uint32_t>(cost[v]);
   }
   return levels;
+}
+
+std::vector<std::uint32_t> read_levels(simt::Device& dev, const DeviceGraph& dg) {
+  std::vector<std::uint64_t> cost = dev.read(dg.cost);
+  cost.resize(dg.n_vertices);
+  return levels_from_cost(cost);
 }
 
 bool matches_reference(const std::vector<std::uint32_t>& got,

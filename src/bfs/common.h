@@ -31,6 +31,11 @@ struct DeviceGraph {
 // as the GPU runtime requires all allocation before launch — §3.1).
 DeviceGraph upload_graph(simt::Device& dev, const graph::Graph& g);
 
+// Converts per-vertex cost words to 32-bit BFS levels (kUnvisited
+// becomes graph::kUnreached).
+std::vector<std::uint32_t> levels_from_cost(
+    const std::vector<std::uint64_t>& cost);
+
 // Reads back the device cost array as 32-bit BFS levels.
 std::vector<std::uint32_t> read_levels(simt::Device& dev, const DeviceGraph& dg);
 

@@ -1,307 +1,9 @@
 #include "bfs/pt_bfs.h"
 
-#include <algorithm>
-#include <array>
-#include <bit>
-#include <memory>
-
-#include "core/black_box.h"
-#include "core/counters.h"
+#include "bfs/relax_client.h"
 #include "core/ext_schedulers.h"
-#include "core/task_probes.h"
-#include "core/telemetry_probes.h"
-#include "tasks/task_engine.h"
 
 namespace scq::bfs {
-
-namespace {
-
-using simt::Addr;
-using simt::Kernel;
-using simt::LaneMask;
-using simt::Wave;
-using simt::kWaveWidth;
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
-
-// Per-lane vertex-processing registers.
-struct LaneWork {
-  std::array<std::uint64_t, kWaveWidth> vertex{};
-  std::array<std::uint64_t, kWaveWidth> cursor{};   // next edge index
-  std::array<std::uint64_t, kWaveWidth> row_end{};  // one past last edge
-  std::array<std::uint64_t, kWaveWidth> cost{};     // this vertex's level
-  // Trace identity of the vertex-task each lane is enumerating
-  // (kNoTask when untraceable).
-  std::array<std::uint64_t, kWaveWidth> ticket = filled_lanes(kNoTask);
-};
-
-Kernel<void> pt_bfs_wave(Wave& w, DeviceQueue& queue, const DeviceGraph& g,
-                         const PtBfsOptions& opt) {
-  WaveQueueState st{};
-  std::array<std::uint64_t, kWaveWidth> tokens{};
-  LaneWork lw{};
-  LaneMask working = 0;
-
-  for (;;) {  // Algorithm 1: one iteration per work cycle
-    w.bump(kWorkCycles);
-    if (co_await queue.all_done(w)) break;
-
-    bool progress = false;
-
-    // Dequeue phase 1: lanes that neither hold a vertex nor monitor a
-    // slot (nor sit on an eagerly delivered token) ask for work.
-    st.hungry = ~(working | st.assigned | st.ready);
-    // Guarded: every scheduler no-ops on an empty hungry mask, and the
-    // skipped child-coroutine frame is measurable at this call rate.
-    if (st.hungry) co_await queue.acquire_slots(w, st);
-
-    if (simt::Telemetry* probes = probe_sink(w)) {
-      probes->set_shard(tel::kHungryLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.hungry)));
-      probes->set_shard(tel::kAssignedLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.assigned)));
-    }
-
-    // Dequeue phase 2: non-atomic arrival check; arrived lanes run the
-    // enumeration prolog (Listing 2 lines 6-22).
-    if (st.assigned || st.ready) {
-      const LaneMask arrived = co_await queue.check_arrival(w, st, tokens);
-      if (arrived) {
-        progress = true;
-        std::array<Addr, kWaveWidth> a{};
-        std::array<std::uint64_t, kWaveWidth> row_begin{}, row_end{}, vcost{};
-        for_lanes(arrived, [&](unsigned lane) {
-          lw.vertex[lane] = tokens[lane];
-          a[lane] = g.row_offsets.at(lw.vertex[lane]);
-        });
-        co_await w.load_lanes(arrived, a, row_begin);
-        for_lanes(arrived, [&](unsigned lane) { a[lane] += 1; });
-        co_await w.load_lanes(arrived, a, row_end);
-        for_lanes(arrived, [&](unsigned lane) {
-          a[lane] = g.cost.at(lw.vertex[lane]);
-        });
-        co_await w.load_lanes(arrived, a, vcost);
-        const bool tasks_traced = task_sink(w) != nullptr;
-        for_lanes(arrived, [&](unsigned lane) {
-          lw.cursor[lane] = row_begin[lane];
-          lw.row_end[lane] = row_end[lane];
-          lw.cost[lane] = vcost[lane];
-          lw.ticket[lane] = st.deliver_ticket[lane];
-          if (tasks_traced) {
-            trace_task(w, simt::TaskPhase::kExecStart, lw.ticket[lane],
-                       lw.vertex[lane]);
-          }
-        });
-        working |= arrived;
-      }
-    }
-
-    // Work phase: up to work_budget uniform sub-tasks (edges) per lane.
-    // Backpressure gate: while parked tokens wait for ring slots to
-    // recycle, only as many lanes may relax edges as the parked buffer
-    // can absorb in the worst case (work_budget children per lane) —
-    // production throttles, consumption above never does.
-    st.clear_produce();
-    std::uint32_t finished = 0;
-    LaneMask run = working;
-    if (st.has_parked()) {
-      std::uint32_t allow =
-          (WaveQueueState::kMaxParked - st.n_parked) / opt.work_budget;
-      run = 0;
-      for_lanes(working, [&](unsigned lane) {
-        if (allow > 0) {
-          run |= bit(lane);
-          --allow;
-        }
-      });
-    }
-    if (run) {
-      progress = true;
-      for (unsigned t = 0; t < opt.work_budget; ++t) {
-        LaneMask active = 0;
-        for_lanes(run, [&](unsigned lane) {
-          if (lw.cursor[lane] < lw.row_end[lane]) active |= bit(lane);
-        });
-        if (!active) break;
-
-        // Fetch child vertex ids.
-        std::array<Addr, kWaveWidth> ea{};
-        std::array<std::uint64_t, kWaveWidth> child{};
-        for_lanes(active, [&](unsigned lane) {
-          ea[lane] = g.cols.at(lw.cursor[lane]);
-          lw.cursor[lane] += 1;
-        });
-        co_await w.load_lanes(active, ea, child);
-        w.bump(kEdgesRelaxed, static_cast<std::uint64_t>(std::popcount(active)));
-
-        // Relax: cost[child] = min(cost[child], cost[v] + 1); improved
-        // children are (re-)enqueued (label correcting).
-        std::array<Addr, kWaveWidth> ca{};
-        std::array<std::uint64_t, kWaveWidth> newcost{}, oldcost{};
-        for_lanes(active, [&](unsigned lane) {
-          ca[lane] = g.cost.at(child[lane]);
-          newcost[lane] = lw.cost[lane] + 1;
-        });
-        LaneMask improved = 0;
-        if (opt.atomic_discovery) {
-          co_await w.atomic_lanes(simt::AtomicKind::kMin, active, ca, newcost,
-                                  {}, oldcost);
-          for_lanes(active, [&](unsigned lane) {
-            if (oldcost[lane] > newcost[lane]) improved |= bit(lane);
-          });
-        } else {
-          // Benign-race ablation: plain read-modify-write. Racy stores
-          // may leave levels above the true distance (validated with
-          // plausible_levels).
-          co_await w.load_lanes(active, ca, oldcost);
-          for_lanes(active, [&](unsigned lane) {
-            if (oldcost[lane] > newcost[lane]) improved |= bit(lane);
-          });
-          if (improved) co_await w.store_lanes(improved, ca, newcost);
-        }
-        for_lanes(improved, [&](unsigned lane) {
-          st.push_token(lane, child[lane], lw.ticket[lane]);
-          if (oldcost[lane] != kUnvisited) w.bump(kDupEnqueues);
-        });
-      }
-
-      // Lanes whose enumeration finished become hungry next cycle.
-      LaneMask done_lanes = 0;
-      const bool tasks_traced = task_sink(w) != nullptr;
-      for_lanes(run, [&](unsigned lane) {
-        if (lw.cursor[lane] >= lw.row_end[lane]) {
-          done_lanes |= bit(lane);
-          if (tasks_traced) {
-            trace_task(w, simt::TaskPhase::kExecEnd, lw.ticket[lane]);
-          }
-        }
-      });
-      finished = static_cast<std::uint32_t>(std::popcount(done_lanes));
-      working &= ~done_lanes;
-      w.bump(kTasksProcessed, finished);
-    }
-
-    // ScheduleNewlyDiscoveredWorkTokens(), then report completions.
-    // Ordering matters for termination: children are published before
-    // the completion counter can reach Rear.
-    if (st.total_new() != 0 || st.has_parked()) co_await queue.publish(w, st);
-    if (finished) co_await queue.report_complete(w, finished);
-
-    if (!progress) co_await w.idle(opt.poll_interval);
-  }
-}
-
-// The same kernel re-expressed as a task-engine client: the engine owns
-// the work-cycle skeleton (pt_bfs_wave above, structurally verbatim)
-// and this client supplies the BFS-specific prolog and edge loop. A
-// test pins this path bit-exact against pt_bfs_wave at seed 0; keep the
-// two bodies in lockstep when touching either.
-class BfsWaveClient final : public tasks::TaskWaveClient {
- public:
-  BfsWaveClient(const DeviceGraph& g, const PtBfsOptions& opt)
-      : g_(g), opt_(opt) {}
-
-  Kernel<void> on_arrival(Wave& w, WaveQueueState& st, LaneMask arrived,
-                          std::span<const std::uint64_t> tokens) override {
-    std::array<Addr, kWaveWidth> a{};
-    std::array<std::uint64_t, kWaveWidth> row_begin{}, row_end{}, vcost{};
-    for_lanes(arrived, [&](unsigned lane) {
-      lw_.vertex[lane] = tokens[lane];
-      a[lane] = g_.row_offsets.at(lw_.vertex[lane]);
-    });
-    co_await w.load_lanes(arrived, a, row_begin);
-    for_lanes(arrived, [&](unsigned lane) { a[lane] += 1; });
-    co_await w.load_lanes(arrived, a, row_end);
-    for_lanes(arrived, [&](unsigned lane) {
-      a[lane] = g_.cost.at(lw_.vertex[lane]);
-    });
-    co_await w.load_lanes(arrived, a, vcost);
-    const bool tasks_traced = task_sink(w) != nullptr;
-    for_lanes(arrived, [&](unsigned lane) {
-      lw_.cursor[lane] = row_begin[lane];
-      lw_.row_end[lane] = row_end[lane];
-      lw_.cost[lane] = vcost[lane];
-      lw_.ticket[lane] = st.deliver_ticket[lane];
-      if (tasks_traced) {
-        trace_task(w, simt::TaskPhase::kExecStart, lw_.ticket[lane],
-                   lw_.vertex[lane]);
-      }
-    });
-  }
-
-  Kernel<LaneMask> work_step(Wave& w, WaveQueueState& st,
-                             LaneMask run) override {
-    for (unsigned t = 0; t < opt_.work_budget; ++t) {
-      LaneMask active = 0;
-      for_lanes(run, [&](unsigned lane) {
-        if (lw_.cursor[lane] < lw_.row_end[lane]) active |= bit(lane);
-      });
-      if (!active) break;
-
-      std::array<Addr, kWaveWidth> ea{};
-      std::array<std::uint64_t, kWaveWidth> child{};
-      for_lanes(active, [&](unsigned lane) {
-        ea[lane] = g_.cols.at(lw_.cursor[lane]);
-        lw_.cursor[lane] += 1;
-      });
-      co_await w.load_lanes(active, ea, child);
-      w.bump(kEdgesRelaxed, static_cast<std::uint64_t>(std::popcount(active)));
-
-      std::array<Addr, kWaveWidth> ca{};
-      std::array<std::uint64_t, kWaveWidth> newcost{}, oldcost{};
-      for_lanes(active, [&](unsigned lane) {
-        ca[lane] = g_.cost.at(child[lane]);
-        newcost[lane] = lw_.cost[lane] + 1;
-      });
-      LaneMask improved = 0;
-      if (opt_.atomic_discovery) {
-        co_await w.atomic_lanes(simt::AtomicKind::kMin, active, ca, newcost,
-                                {}, oldcost);
-        for_lanes(active, [&](unsigned lane) {
-          if (oldcost[lane] > newcost[lane]) improved |= bit(lane);
-        });
-      } else {
-        co_await w.load_lanes(active, ca, oldcost);
-        for_lanes(active, [&](unsigned lane) {
-          if (oldcost[lane] > newcost[lane]) improved |= bit(lane);
-        });
-        if (improved) co_await w.store_lanes(improved, ca, newcost);
-      }
-      for_lanes(improved, [&](unsigned lane) {
-        st.push_token(lane, child[lane], lw_.ticket[lane]);
-        if (oldcost[lane] != kUnvisited) w.bump(kDupEnqueues);
-      });
-    }
-
-    LaneMask done_lanes = 0;
-    const bool tasks_traced = task_sink(w) != nullptr;
-    for_lanes(run, [&](unsigned lane) {
-      if (lw_.cursor[lane] >= lw_.row_end[lane]) {
-        done_lanes |= bit(lane);
-        if (tasks_traced) {
-          trace_task(w, simt::TaskPhase::kExecEnd, lw_.ticket[lane]);
-        }
-      }
-    });
-    co_return done_lanes;
-  }
-
- private:
-  const DeviceGraph& g_;
-  const PtBfsOptions& opt_;
-  LaneWork lw_{};
-};
-
-}  // namespace
 
 BfsResult run_pt_bfs(const simt::DeviceConfig& config, const graph::Graph& g,
                      Vertex source, const PtBfsOptions& options) {
@@ -312,99 +14,28 @@ BfsResult run_pt_bfs(const simt::DeviceConfig& config, const graph::Graph& g,
     throw simt::SimError("run_pt_bfs: work_budget must be in [1, kMaxWorkBudget]");
   }
 
-  double headroom = options.queue_headroom;
-  std::uint64_t explicit_capacity = options.queue_capacity;
-  std::string last_black_box;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    simt::Device dev(config);
-    const DeviceGraph dg = upload_graph(dev, g);
-    const std::uint64_t capacity =
-        explicit_capacity != 0
-            ? explicit_capacity
-            : static_cast<std::uint64_t>(
-                  static_cast<double>(g.num_vertices()) * headroom) +
-                  kWaveWidth;
-    auto queue = make_scheduler(dev, options.variant, capacity);
-
-    // Observability: a fresh device per attempt means the probes must be
-    // re-registered against the new objects. Telemetry data accumulates
-    // across attempts and runs (the caller owns reset_data); the trace
-    // is cleared per attempt so it holds exactly the run that produced
-    // the reported result.
-    if (options.trace) {
-      options.trace->clear();
-      dev.attach_tracer(options.trace);
-    }
-    if (options.history) {
-      options.history->clear();
-      dev.attach_op_history(options.history);
-    }
-    if (options.task_trace) {
-      options.task_trace->clear();
-      stamp_task_meta(*options.task_trace, *queue);
-      dev.attach_task_trace(options.task_trace);
-    }
-    if (options.telemetry) {
-      options.telemetry->clear_probes();
-      options.telemetry->mirror_counters_to(options.trace);
-      register_scheduler_probes(*options.telemetry, dev, *queue);
-      dev.attach_telemetry(options.telemetry);
-    }
-    if (options.profiler) dev.attach_profiler(options.profiler);
-    // Flight recording is always on: black-box dumps on the deadlock
-    // path need the recent-event ring even without a caller sink.
-    simt::FlightRecorder local_recorder;
-    simt::FlightRecorder* recorder =
-        options.recorder != nullptr ? options.recorder : &local_recorder;
-    recorder->clear();
-    dev.attach_flight_recorder(options.detach_recorder ? nullptr : recorder);
-
-    // Seed: source at level 0, its token in the scheduler (host-side, §3.1).
-    dev.write_word(dg.cost.at(source), 0);
-    const std::uint64_t seed[] = {source};
-    queue->seed(dev, seed);
-
-    const std::uint32_t workgroups = options.num_workgroups != 0
-                                         ? options.num_workgroups
-                                         : config.resident_waves();
-    simt::RunResult run;
-    if (options.use_task_engine) {
-      tasks::TaskEngineOptions eng;
-      eng.work_budget = options.work_budget;
-      eng.poll_interval = options.poll_interval;
-      eng.num_workgroups = workgroups;
-      run = tasks::run_task_waves(
-          dev, *queue,
-          [&](Wave&) { return std::make_unique<BfsWaveClient>(dg, options); },
-          eng);
-    } else {
-      run = dev.launch(workgroups, [&](Wave& w) -> Kernel<void> {
-        return pt_bfs_wave(w, *queue, dg, options);
+  const RelaxPlan plan{
+      .source = source,
+      .seed_token = source,
+      .work_budget = options.work_budget,
+      .poll_interval = options.poll_interval,
+      .num_workgroups = options.num_workgroups,
+      .atomic_min = options.atomic_discovery,
+      .capacity = {.explicit_capacity = options.queue_capacity,
+                   .hint = g.num_vertices(),
+                   .headroom = options.queue_headroom},
+      .detach_recorder = options.detach_recorder};
+  const RelaxRun r = run_relax(
+      config, g, plan, options, [&](simt::Device& dev, std::uint64_t capacity) {
+        return make_scheduler(dev, options.variant, capacity);
       });
-    }
 
-    if (run.aborted) {
-      last_black_box = dump_black_box(dev, queue.get(), run.abort_reason);
-    }
-    if (run.aborted && attempt < 8) {
-      // §4.4's exception path, now reachable only through the deadlock
-      // detector: the in-flight working set outgrew the ring, so the
-      // host retries the kernel with a larger queue.
-      if (explicit_capacity != 0) {
-        explicit_capacity *= 2;
-      } else {
-        headroom *= 2.0;
-      }
-      continue;
-    }
-
-    BfsResult result;
-    result.run = run;
-    result.attempts = attempt;
-    result.black_box = std::move(last_black_box);
-    if (!run.aborted) result.levels = read_levels(dev, dg);
-    return result;
-  }
+  BfsResult result;
+  result.run = r.retry.run;
+  result.attempts = r.retry.attempts;
+  result.black_box = r.retry.black_box;
+  result.levels = levels_from_cost(r.cost);
+  return result;
 }
 
 }  // namespace scq::bfs

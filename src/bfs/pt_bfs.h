@@ -1,6 +1,7 @@
 // Persistent-thread top-down BFS (the paper's driver application, §5.1).
 //
-// Every persistent wave loops work cycles (Algorithm 1): hungry lanes
+// Every persistent wave loops work cycles (Algorithm 1, run by the task
+// engine with the relax client of bfs/relax_client.h): hungry lanes
 // request task tokens (vertices) from the shared concurrent queue,
 // working lanes relax up to `work_budget` edges — the paper's fixed
 // number of uniformly complex sub-tasks (§3.3) — newly discovered
@@ -19,10 +20,13 @@
 #include "bfs/common.h"
 #include "core/queue.h"
 #include "sim/config.h"
+#include "tasks/run_harness.h"
 
 namespace scq::bfs {
 
-struct PtBfsOptions {
+// The observability sinks come from tasks::RunSinks; the run harness
+// (tasks/run_harness.h) attaches them to every attempt.
+struct PtBfsOptions : tasks::RunSinks {
   QueueVariant variant = QueueVariant::kRfan;
   // Sub-tasks (edges) per work cycle; the paper found 4 works well.
   unsigned work_budget = 4;
@@ -42,43 +46,11 @@ struct PtBfsOptions {
   std::uint64_t queue_capacity = 0;
   // 0 = all resident wave slots (persistent-thread launch).
   std::uint32_t num_workgroups = 0;
-  // Optional observability sinks (not owned; nullptr disables). The run
-  // builds its device internally, so probes are (re-)attached per
-  // attempt. Telemetry histograms/series accumulate across runs and
-  // attempts — call Telemetry::reset_data between runs for per-run
-  // artifacts — while the trace is cleared per attempt and thus holds
-  // exactly the final attempt. When both are given, sampled telemetry
-  // series are mirrored into the trace as Perfetto counter tracks.
-  simt::Telemetry* telemetry = nullptr;
-  simt::TraceRecorder* trace = nullptr;
-  // Optional queue-operation recording for the fuzz checker (cleared per
-  // attempt, so it holds exactly the final attempt's history).
-  simt::OpHistory* history = nullptr;
-  // Optional per-task lifecycle recording (cleared per attempt): every
-  // traceable token gets reserve/write/claim/arrival/exec events plus a
-  // parent spawn edge, feeding sim/critical_path.h analysis.
-  simt::TaskTrace* task_trace = nullptr;
-  // Optional simulator self-profiling (host wall-clock attribution of
-  // the event loop; accumulates across attempts and runs — the caller
-  // owns reset()).
-  simt::SimProfiler* profiler = nullptr;
-  // Optional flight-recorder sink (cleared per attempt). The driver
-  // always attaches a recorder — an internal one when this is null — so
-  // a deadlocked attempt dumps a black box (BfsResult::black_box)
-  // before the capacity-doubling retry.
-  simt::FlightRecorder* recorder = nullptr;
-  // Bench-only escape hatch: run with NO recorder attached so
+  // Bench-only escape hatch: run with NO flight recorder attached so
   // bench/sim_throughput can price the always-on recorder against a
   // truly bare event loop. Production paths leave this false — a run
   // without a recorder cannot dump a black box.
   bool detach_recorder = false;
-  // true (default): run the kernel as a tasks::TaskWaveClient on the
-  // shared task-engine wave loop — bit-exact with the legacy inline
-  // kernel (a test pins cycles, stats and levels at seed 0), and the
-  // route by which BFS gains banded (kMq) support, since the engine
-  // reports completions per ticket. false: the legacy inline kernel,
-  // kept as the bit-exactness reference.
-  bool use_task_engine = true;
 };
 
 // Runs one BFS to completion on a fresh device built from `config`.

@@ -1,177 +1,9 @@
 #include "bfs/pt_sssp.h"
 
-#include <algorithm>
-#include <array>
-#include <bit>
-#include <span>
-
-#include "core/black_box.h"
-#include "core/counters.h"
+#include "bfs/relax_client.h"
 #include "core/ext_schedulers.h"
-#include "core/task_probes.h"
-#include "core/telemetry_probes.h"
-#include "graph/sssp_ref.h"
 
 namespace scq::bfs {
-
-namespace {
-
-using simt::Addr;
-using simt::Kernel;
-using simt::LaneMask;
-using simt::Wave;
-using simt::kWaveWidth;
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
-
-Kernel<void> pt_sssp_wave(Wave& w, DeviceQueue& queue, const DeviceGraph& g,
-                          const PtSsspOptions& opt) {
-  WaveQueueState st{};
-  std::array<std::uint64_t, kWaveWidth> tokens{};
-  std::array<std::uint64_t, kWaveWidth> vertex{}, cursor{}, row_end{}, vdist{};
-  // Trace identity of each working lane's vertex-task.
-  std::array<std::uint64_t, kWaveWidth> ticket = filled_lanes(kNoTask);
-  std::array<std::uint64_t, kWaveWidth> done_tickets{};
-  LaneMask working = 0;
-
-  for (;;) {
-    w.bump(kWorkCycles);
-    if (co_await queue.all_done(w)) break;
-
-    bool progress = false;
-
-    st.hungry = ~(working | st.assigned | st.ready);
-    if (st.hungry) co_await queue.acquire_slots(w, st);
-
-    if (simt::Telemetry* probes = probe_sink(w)) {
-      probes->set_shard(tel::kHungryLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.hungry)));
-      probes->set_shard(tel::kAssignedLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.assigned)));
-    }
-
-    if (st.assigned || st.ready) {
-      const LaneMask arrived = co_await queue.check_arrival(w, st, tokens);
-      if (arrived) {
-        progress = true;
-        std::array<Addr, kWaveWidth> a{};
-        std::array<std::uint64_t, kWaveWidth> row_begin{}, re{}, dist_now{};
-        for_lanes(arrived, [&](unsigned lane) {
-          vertex[lane] = tokens[lane];
-          a[lane] = g.row_offsets.at(vertex[lane]);
-        });
-        co_await w.load_lanes(arrived, a, row_begin);
-        for_lanes(arrived, [&](unsigned lane) { a[lane] += 1; });
-        co_await w.load_lanes(arrived, a, re);
-        for_lanes(arrived, [&](unsigned lane) {
-          a[lane] = g.cost.at(vertex[lane]);
-        });
-        co_await w.load_lanes(arrived, a, dist_now);
-        const bool tasks_traced = task_sink(w) != nullptr;
-        for_lanes(arrived, [&](unsigned lane) {
-          cursor[lane] = row_begin[lane];
-          row_end[lane] = re[lane];
-          vdist[lane] = dist_now[lane];
-          ticket[lane] = st.deliver_ticket[lane];
-          if (tasks_traced) {
-            trace_task(w, simt::TaskPhase::kExecStart, ticket[lane],
-                       vertex[lane]);
-          }
-        });
-        working |= arrived;
-      }
-    }
-
-    st.clear_produce();
-    std::uint32_t finished = 0;
-    // Backpressure gate: see pt_bfs_wave — production throttles while
-    // tokens are parked, consumption never does.
-    LaneMask run = working;
-    if (st.has_parked()) {
-      std::uint32_t allow =
-          (WaveQueueState::kMaxParked - st.n_parked) / opt.work_budget;
-      run = 0;
-      for_lanes(working, [&](unsigned lane) {
-        if (allow > 0) {
-          run |= bit(lane);
-          --allow;
-        }
-      });
-    }
-    if (run) {
-      progress = true;
-      for (unsigned t = 0; t < opt.work_budget; ++t) {
-        LaneMask active = 0;
-        for_lanes(run, [&](unsigned lane) {
-          if (cursor[lane] < row_end[lane]) active |= bit(lane);
-        });
-        if (!active) break;
-
-        std::array<Addr, kWaveWidth> ea{};
-        std::array<std::uint64_t, kWaveWidth> child{}, edge_w{};
-        for_lanes(active, [&](unsigned lane) { ea[lane] = g.cols.at(cursor[lane]); });
-        co_await w.load_lanes(active, ea, child);
-        if (g.has_weights) {
-          for_lanes(active, [&](unsigned lane) {
-            ea[lane] = g.weights.at(cursor[lane]);
-          });
-          co_await w.load_lanes(active, ea, edge_w);
-        } else {
-          for_lanes(active, [&](unsigned lane) { edge_w[lane] = 1; });
-        }
-        for_lanes(active, [&](unsigned lane) { cursor[lane] += 1; });
-        w.bump(kEdgesRelaxed, static_cast<std::uint64_t>(std::popcount(active)));
-
-        // Relax with atomic-min; improvements are re-enqueued.
-        std::array<Addr, kWaveWidth> ca{};
-        std::array<std::uint64_t, kWaveWidth> nd{}, old{};
-        for_lanes(active, [&](unsigned lane) {
-          ca[lane] = g.cost.at(child[lane]);
-          nd[lane] = vdist[lane] + edge_w[lane];
-        });
-        co_await w.atomic_lanes(simt::AtomicKind::kMin, active, ca, nd, {}, old);
-        for_lanes(active, [&](unsigned lane) {
-          if (old[lane] > nd[lane]) {
-            st.push_token(lane, child[lane], ticket[lane]);
-            if (old[lane] != kUnvisited) w.bump(kDupEnqueues);
-          }
-        });
-      }
-
-      LaneMask done_lanes = 0;
-      const bool tasks_traced = task_sink(w) != nullptr;
-      for_lanes(run, [&](unsigned lane) {
-        if (cursor[lane] >= row_end[lane]) {
-          done_lanes |= bit(lane);
-          done_tickets[finished++] = ticket[lane];
-          if (tasks_traced) {
-            trace_task(w, simt::TaskPhase::kExecEnd, ticket[lane]);
-          }
-        }
-      });
-      working &= ~done_lanes;
-      w.bump(kTasksProcessed, finished);
-    }
-
-    if (st.total_new() != 0 || st.has_parked()) co_await queue.publish(w, st);
-    if (finished) {
-      co_await queue.report_complete_tickets(
-          w, std::span<const std::uint64_t>(done_tickets.data(), finished));
-    }
-    if (!progress) co_await w.idle(opt.poll_interval);
-  }
-}
-
-}  // namespace
 
 SsspResult run_pt_sssp(const simt::DeviceConfig& config, const graph::Graph& g,
                        Vertex source, const PtSsspOptions& options) {
@@ -182,87 +14,27 @@ SsspResult run_pt_sssp(const simt::DeviceConfig& config, const graph::Graph& g,
     throw simt::SimError("run_pt_sssp: work_budget out of range");
   }
 
-  double headroom = options.queue_headroom;
-  std::uint64_t explicit_capacity = options.queue_capacity;
-  std::string last_black_box;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    simt::Device dev(config);
-    const DeviceGraph dg = upload_graph(dev, g);
-    const std::uint64_t capacity =
-        explicit_capacity != 0
-            ? explicit_capacity
-            : static_cast<std::uint64_t>(
-                  static_cast<double>(g.num_vertices()) * headroom) +
-                  kWaveWidth;
-    auto queue = make_scheduler(dev, options.variant, capacity);
+  const RelaxPlan plan{
+      .source = source,
+      .seed_token = source,
+      .work_budget = options.work_budget,
+      .poll_interval = options.poll_interval,
+      .num_workgroups = options.num_workgroups,
+      .load_weights = g.has_weights(),
+      .capacity = {.explicit_capacity = options.queue_capacity,
+                   .hint = g.num_vertices(),
+                   .headroom = options.queue_headroom}};
+  RelaxRun r = run_relax(
+      config, g, plan, options, [&](simt::Device& dev, std::uint64_t capacity) {
+        return make_scheduler(dev, options.variant, capacity);
+      });
 
-    // See run_pt_bfs: probes re-register per attempt, telemetry data
-    // accumulates, the trace keeps only the final attempt.
-    if (options.trace) {
-      options.trace->clear();
-      dev.attach_tracer(options.trace);
-    }
-    if (options.history) {
-      options.history->clear();
-      dev.attach_op_history(options.history);
-    }
-    if (options.task_trace) {
-      options.task_trace->clear();
-      stamp_task_meta(*options.task_trace, *queue);
-      dev.attach_task_trace(options.task_trace);
-    }
-    if (options.telemetry) {
-      options.telemetry->clear_probes();
-      options.telemetry->mirror_counters_to(options.trace);
-      register_scheduler_probes(*options.telemetry, dev, *queue);
-      dev.attach_telemetry(options.telemetry);
-    }
-    if (options.profiler) dev.attach_profiler(options.profiler);
-    // Always-on flight recording; see run_pt_bfs.
-    simt::FlightRecorder local_recorder;
-    simt::FlightRecorder* recorder =
-        options.recorder != nullptr ? options.recorder : &local_recorder;
-    recorder->clear();
-    dev.attach_flight_recorder(recorder);
-
-    dev.write_word(dg.cost.at(source), 0);
-    const std::uint64_t seed[] = {source};
-    queue->seed(dev, seed);
-
-    const std::uint32_t workgroups = options.num_workgroups != 0
-                                         ? options.num_workgroups
-                                         : config.resident_waves();
-    const simt::RunResult run =
-        dev.launch(workgroups, [&](Wave& w) -> Kernel<void> {
-          return pt_sssp_wave(w, *queue, dg, options);
-        });
-
-    if (run.aborted) {
-      last_black_box = dump_black_box(dev, queue.get(), run.abort_reason);
-    }
-    if (run.aborted && attempt < 8) {
-      // Reachable only via the publish deadlock detector.
-      if (explicit_capacity != 0) {
-        explicit_capacity *= 2;
-      } else {
-        headroom *= 2.0;
-      }
-      continue;
-    }
-
-    SsspResult result;
-    result.run = run;
-    result.attempts = attempt;
-    result.black_box = std::move(last_black_box);
-    if (!run.aborted) {
-      result.dist.assign(dg.n_vertices, graph::kUnreachableDist);
-      for (Vertex v = 0; v < dg.n_vertices; ++v) {
-        const std::uint64_t word = dev.read_word(dg.cost.at(v));
-        result.dist[v] = word;  // kUnvisited == kUnreachableDist
-      }
-    }
-    return result;
-  }
+  SsspResult result;
+  result.run = r.retry.run;
+  result.attempts = r.retry.attempts;
+  result.black_box = std::move(r.retry.black_box);
+  result.dist = std::move(r.cost);  // kUnvisited == kUnreachableDist
+  return result;
 }
 
 }  // namespace scq::bfs

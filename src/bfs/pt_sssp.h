@@ -3,20 +3,23 @@
 // application-agnostic (the paper's "it can be used for other purposes
 // ... with little change", §1).
 //
-// Same work-cycle structure as the BFS driver, but relaxations add edge
-// weights: dist[child] = min(dist[child], dist[v] + w(e)), with every
-// improvement re-enqueued (label-correcting SSSP, the classic GPU
-// worklist algorithm). Converges to exact Dijkstra distances under any
-// processing order.
+// Same task-engine client as the BFS driver (bfs/relax_client.h), but
+// relaxations add edge weights: dist[child] = min(dist[child], dist[v] +
+// w(e)), with every improvement re-enqueued (label-correcting SSSP, the
+// classic GPU worklist algorithm). Converges to exact Dijkstra distances
+// under any processing order.
 #pragma once
 
 #include "bfs/common.h"
 #include "core/queue.h"
 #include "sim/config.h"
+#include "tasks/run_harness.h"
 
 namespace scq::bfs {
 
-struct PtSsspOptions {
+// Observability sinks: tasks::RunSinks, attached per attempt by the run
+// harness (tasks/run_harness.h).
+struct PtSsspOptions : tasks::RunSinks {
   QueueVariant variant = QueueVariant::kRfan;
   unsigned work_budget = 4;
   simt::Cycle poll_interval = 240;
@@ -29,21 +32,6 @@ struct PtSsspOptions {
   // deadlock retries double it.
   std::uint64_t queue_capacity = 0;
   std::uint32_t num_workgroups = 0;
-  // Optional observability sinks (not owned; nullptr disables); see
-  // PtBfsOptions for the attach-per-attempt semantics.
-  simt::Telemetry* telemetry = nullptr;
-  simt::TraceRecorder* trace = nullptr;
-  // Optional queue-operation recording for the fuzz checker (cleared per
-  // attempt, so it holds exactly the final attempt's history).
-  simt::OpHistory* history = nullptr;
-  // Optional per-task lifecycle recording (cleared per attempt); see
-  // PtBfsOptions::task_trace.
-  simt::TaskTrace* task_trace = nullptr;
-  // Optional simulator self-profiling; see PtBfsOptions::profiler.
-  simt::SimProfiler* profiler = nullptr;
-  // Optional flight-recorder sink; see PtBfsOptions::recorder (the
-  // driver always attaches one so deadlocked attempts dump black boxes).
-  simt::FlightRecorder* recorder = nullptr;
 };
 
 struct SsspResult {

@@ -1,246 +1,13 @@
 #include "bfs/pt_sssp_delta.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
-#include <span>
-#include <vector>
 
+#include "bfs/relax_client.h"
 #include "cluster/token.h"
-#include "core/bucketed_queue.h"
-#include "core/black_box.h"
-#include "core/counters.h"
-#include "core/task_probes.h"
-#include "core/telemetry_probes.h"
-#include "graph/sssp_ref.h"
 
 namespace scq::bfs {
 
 namespace {
-
-using simt::Addr;
-using simt::Kernel;
-using simt::LaneMask;
-using simt::Wave;
-using simt::kWaveWidth;
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
-
-// Everything the wave kernel needs beyond the queue: graph, bucket
-// width, and the host-precomputed heuristic table (empty = zeros).
-struct DeltaCtx {
-  const DeviceGraph& g;
-  const PtSsspDeltaOptions& opt;
-  std::uint64_t delta;
-  const std::vector<std::uint64_t>& h;
-
-  [[nodiscard]] std::uint64_t bucket_of(std::uint64_t dist,
-                                        std::uint64_t vertex) const {
-    return (dist + (h.empty() ? 0 : h[vertex])) / delta;
-  }
-};
-
-Kernel<void> pt_sssp_delta_wave(Wave& w, DeviceQueue& queue,
-                                const DeltaCtx& ctx) {
-  const DeviceGraph& g = ctx.g;
-  WaveQueueState st{};
-  std::array<std::uint64_t, kWaveWidth> tokens{};
-  std::array<std::uint64_t, kWaveWidth> vertex{}, cursor{}, row_begin{},
-      row_end{}, vdist{};
-  // phase 0 sweeps light edges (weight <= delta), phase 1 the heavy
-  // remainder; saw_heavy lanes loop back for the second sweep.
-  std::array<std::uint8_t, kWaveWidth> phase{}, saw_heavy{};
-  std::array<std::uint64_t, kWaveWidth> ticket = filled_lanes(kNoTask);
-  // Finished lanes plus same-cycle stale skips, hence 2x wave width.
-  std::array<std::uint64_t, 2 * kWaveWidth> done_tickets{};
-  LaneMask working = 0;
-
-  for (;;) {
-    w.bump(kWorkCycles);
-    if (co_await queue.all_done(w)) break;
-
-    bool progress = false;
-    std::uint32_t finished = 0;
-
-    st.hungry = ~(working | st.assigned | st.ready);
-    // Assigned-only calls still matter: lanes monitoring a band that
-    // closed under them are rescued inside acquire_slots.
-    if (st.hungry || st.assigned) co_await queue.acquire_slots(w, st);
-
-    if (simt::Telemetry* probes = probe_sink(w)) {
-      probes->set_shard(tel::kHungryLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.hungry)));
-      probes->set_shard(tel::kAssignedLanes, w.slot_id(),
-                        static_cast<std::uint64_t>(std::popcount(st.assigned)));
-    }
-
-    if (st.assigned || st.ready) {
-      const LaneMask arrived = co_await queue.check_arrival(w, st, tokens);
-      if (arrived) {
-        progress = true;
-        std::array<Addr, kWaveWidth> a{};
-        std::array<std::uint64_t, kWaveWidth> rb{}, re{}, dist_now{};
-        for_lanes(arrived, [&](unsigned lane) {
-          vertex[lane] = cluster::token_vertex(tokens[lane]);
-          a[lane] = g.row_offsets.at(vertex[lane]);
-        });
-        co_await w.load_lanes(arrived, a, rb);
-        for_lanes(arrived, [&](unsigned lane) { a[lane] += 1; });
-        co_await w.load_lanes(arrived, a, re);
-        for_lanes(arrived, [&](unsigned lane) {
-          a[lane] = g.cost.at(vertex[lane]);
-        });
-        co_await w.load_lanes(arrived, a, dist_now);
-
-        const bool tasks_traced = task_sink(w) != nullptr;
-        LaneMask fresh = 0;
-        for_lanes(arrived, [&](unsigned lane) {
-          // Stale-token skip: the packed bucket trails the vertex's
-          // current bucket — a fresher token already covers this
-          // expansion with smaller distances. (The packed bucket
-          // saturates at kMaxPackCost, which can only under-report and
-          // thus suppress a skip, never cause a wrong one.)
-          const std::uint64_t now_bucket =
-              dist_now[lane] == kUnvisited
-                  ? ~std::uint64_t{0}
-                  : ctx.bucket_of(dist_now[lane], vertex[lane]);
-          if (cluster::token_cost(tokens[lane]) > now_bucket) {
-            w.bump(kStaleSkips);
-            done_tickets[finished++] = st.deliver_ticket[lane];
-            return;
-          }
-          fresh |= bit(lane);
-          cursor[lane] = rb[lane];
-          row_begin[lane] = rb[lane];
-          row_end[lane] = re[lane];
-          vdist[lane] = dist_now[lane];
-          phase[lane] = 0;
-          saw_heavy[lane] = 0;
-          ticket[lane] = st.deliver_ticket[lane];
-          if (tasks_traced) {
-            trace_task(w, simt::TaskPhase::kExecStart, ticket[lane],
-                       vertex[lane]);
-          }
-        });
-        working |= fresh;
-      }
-    }
-
-    st.clear_produce();
-    // Backpressure gate: see pt_bfs_wave — production throttles while
-    // tokens are parked, consumption never does.
-    LaneMask run = working;
-    if (st.has_parked()) {
-      std::uint32_t allow =
-          (WaveQueueState::kMaxParked - st.n_parked) / ctx.opt.work_budget;
-      run = 0;
-      for_lanes(working, [&](unsigned lane) {
-        if (allow > 0) {
-          run |= bit(lane);
-          --allow;
-        }
-      });
-    }
-    if (run) {
-      progress = true;
-      for (unsigned t = 0; t < ctx.opt.work_budget; ++t) {
-        LaneMask active = 0;
-        for_lanes(run, [&](unsigned lane) {
-          if (cursor[lane] < row_end[lane]) active |= bit(lane);
-        });
-        if (!active) break;
-
-        std::array<Addr, kWaveWidth> ea{};
-        std::array<std::uint64_t, kWaveWidth> child{}, edge_w{};
-        for_lanes(active, [&](unsigned lane) {
-          ea[lane] = g.cols.at(cursor[lane]);
-        });
-        co_await w.load_lanes(active, ea, child);
-        if (g.has_weights) {
-          for_lanes(active, [&](unsigned lane) {
-            ea[lane] = g.weights.at(cursor[lane]);
-          });
-          co_await w.load_lanes(active, ea, edge_w);
-        } else {
-          for_lanes(active, [&](unsigned lane) { edge_w[lane] = 1; });
-        }
-        for_lanes(active, [&](unsigned lane) { cursor[lane] += 1; });
-
-        // Light/heavy split: each phase relaxes only its own class, so
-        // every edge of an expansion is relaxed exactly once (the
-        // kEdgesRelaxed accounting matches the FIFO driver's
-        // one-per-edge bump — fig_work_efficiency depends on that).
-        LaneMask relax = 0;
-        for_lanes(active, [&](unsigned lane) {
-          const bool heavy = edge_w[lane] > ctx.delta;
-          if (heavy && phase[lane] == 0) {
-            saw_heavy[lane] = 1;
-          } else if (heavy == (phase[lane] == 1)) {
-            relax |= bit(lane);
-          }
-        });
-        if (!relax) continue;
-        w.bump(kEdgesRelaxed,
-               static_cast<std::uint64_t>(std::popcount(relax)));
-
-        std::array<Addr, kWaveWidth> ca{};
-        std::array<std::uint64_t, kWaveWidth> nd{}, old{};
-        for_lanes(relax, [&](unsigned lane) {
-          ca[lane] = g.cost.at(child[lane]);
-          nd[lane] = vdist[lane] + edge_w[lane];
-        });
-        co_await w.atomic_lanes(simt::AtomicKind::kMin, relax, ca, nd, {},
-                                old);
-        for_lanes(relax, [&](unsigned lane) {
-          if (old[lane] > nd[lane]) {
-            st.push_token(lane,
-                          cluster::pack_token_saturating(
-                              cluster::TokenKind::kLocal,
-                              ctx.bucket_of(nd[lane], child[lane]),
-                              child[lane]),
-                          ticket[lane]);
-            if (old[lane] != kUnvisited) w.bump(kDupEnqueues);
-          }
-        });
-      }
-
-      LaneMask done_lanes = 0;
-      const bool tasks_traced = task_sink(w) != nullptr;
-      for_lanes(run, [&](unsigned lane) {
-        if (cursor[lane] < row_end[lane]) return;
-        if (phase[lane] == 0 && saw_heavy[lane]) {
-          phase[lane] = 1;
-          cursor[lane] = row_begin[lane];
-          return;
-        }
-        done_lanes |= bit(lane);
-        done_tickets[finished++] = ticket[lane];
-        w.bump(kTasksProcessed);
-        if (tasks_traced) trace_task(w, simt::TaskPhase::kExecEnd, ticket[lane]);
-      });
-      working &= ~done_lanes;
-    }
-
-    // Publish BEFORE crediting completions: children must be reserved
-    // in their bands before the parent's credit can close a band — the
-    // ordering the closure frontier's soundness rests on.
-    if (st.total_new() != 0 || st.has_parked()) co_await queue.publish(w, st);
-    if (finished) {
-      co_await queue.report_complete_tickets(
-          w, std::span<const std::uint64_t>(done_tickets.data(), finished));
-    }
-    if (!progress) co_await w.idle(ctx.opt.poll_interval);
-  }
-}
 
 std::uint64_t auto_delta(const graph::Graph& g) {
   if (!g.has_weights() || g.num_edges() == 0) return 1;
@@ -264,101 +31,39 @@ SsspResult run_pt_sssp_delta(const simt::DeviceConfig& config,
     throw simt::SimError(
         "run_pt_sssp_delta: graph exceeds the 24-bit packed vertex field");
   }
-  if (options.num_bands == 0 ||
-      options.num_bands > BucketedMultiQueue::kMaxBands) {
-    throw simt::SimError("run_pt_sssp_delta: num_bands out of range");
-  }
 
-  std::vector<std::uint64_t> h;
+  DeltaBuckets buckets;
+  buckets.delta = options.delta != 0 ? options.delta : auto_delta(g);
   if (options.heuristic) {
-    h.resize(g.num_vertices());
-    for (Vertex v = 0; v < g.num_vertices(); ++v) h[v] = options.heuristic(v);
+    buckets.h.resize(g.num_vertices());
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      buckets.h[v] = options.heuristic(v);
+    }
   }
 
-  double headroom = options.queue_headroom;
-  std::uint64_t explicit_capacity = options.queue_capacity;
-  std::string last_black_box;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    simt::Device dev(config);
-    const DeviceGraph dg = upload_graph(dev, g);
-    const std::uint64_t capacity =
-        explicit_capacity != 0
-            ? explicit_capacity
-            : static_cast<std::uint64_t>(
-                  static_cast<double>(g.num_vertices()) * headroom) +
-                  kWaveWidth;
-    auto queue = std::make_unique<BucketedMultiQueue>(
-        dev, capacity, options.num_bands, BucketedMultiQueue::cost_band_map());
+  const RelaxPlan plan{
+      .source = source,
+      .seed_token = cluster::pack_token_saturating(
+          cluster::TokenKind::kLocal, buckets.bucket_of(0, source), source),
+      .work_budget = options.work_budget,
+      .poll_interval = options.poll_interval,
+      .num_workgroups = options.num_workgroups,
+      .load_weights = g.has_weights(),
+      .delta = &buckets,
+      .capacity = {.explicit_capacity = options.queue_capacity,
+                   .hint = g.num_vertices(),
+                   .headroom = options.queue_headroom}};
+  RelaxRun r = run_relax(
+      config, g, plan, options, [&](simt::Device& dev, std::uint64_t capacity) {
+        return tasks::make_banded_queue(dev, capacity, options.num_bands);
+      });
 
-    if (options.trace) {
-      options.trace->clear();
-      dev.attach_tracer(options.trace);
-    }
-    if (options.history) {
-      options.history->clear();
-      dev.attach_op_history(options.history);
-    }
-    if (options.task_trace) {
-      options.task_trace->clear();
-      stamp_task_meta(*options.task_trace, *queue);
-      dev.attach_task_trace(options.task_trace);
-    }
-    if (options.telemetry) {
-      options.telemetry->clear_probes();
-      options.telemetry->mirror_counters_to(options.trace);
-      register_scheduler_probes(*options.telemetry, dev, *queue);
-      dev.attach_telemetry(options.telemetry);
-    }
-    if (options.profiler) dev.attach_profiler(options.profiler);
-    // Always-on flight recording; see run_pt_bfs.
-    simt::FlightRecorder local_recorder;
-    simt::FlightRecorder* recorder =
-        options.recorder != nullptr ? options.recorder : &local_recorder;
-    recorder->clear();
-    dev.attach_flight_recorder(recorder);
-
-    dev.write_word(dg.cost.at(source), 0);
-    const std::uint64_t delta =
-        options.delta != 0 ? options.delta : auto_delta(g);
-    const std::uint64_t h_src = h.empty() ? 0 : h[source];
-    const std::uint64_t seed_tok[] = {cluster::pack_token_saturating(
-        cluster::TokenKind::kLocal, h_src / delta, source)};
-    queue->seed(dev, seed_tok);
-
-    const DeltaCtx wave_ctx{.g = dg, .opt = options, .delta = delta, .h = h};
-    const std::uint32_t workgroups = options.num_workgroups != 0
-                                         ? options.num_workgroups
-                                         : config.resident_waves();
-    const simt::RunResult run =
-        dev.launch(workgroups, [&](Wave& w) -> Kernel<void> {
-          return pt_sssp_delta_wave(w, *queue, wave_ctx);
-        });
-
-    if (run.aborted) {
-      last_black_box = dump_black_box(dev, queue.get(), run.abort_reason);
-    }
-    if (run.aborted && attempt < 8) {
-      // Reachable only via the publish deadlock detector.
-      if (explicit_capacity != 0) {
-        explicit_capacity *= 2;
-      } else {
-        headroom *= 2.0;
-      }
-      continue;
-    }
-
-    SsspResult result;
-    result.run = run;
-    result.attempts = attempt;
-    result.black_box = std::move(last_black_box);
-    if (!run.aborted) {
-      result.dist.assign(dg.n_vertices, graph::kUnreachableDist);
-      for (Vertex v = 0; v < dg.n_vertices; ++v) {
-        result.dist[v] = dev.read_word(dg.cost.at(v));
-      }
-    }
-    return result;
-  }
+  SsspResult result;
+  result.run = r.retry.run;
+  result.attempts = r.retry.attempts;
+  result.black_box = std::move(r.retry.black_box);
+  result.dist = std::move(r.cost);
+  return result;
 }
 
 }  // namespace scq::bfs

@@ -11,7 +11,8 @@
 // wasted relaxations a FIFO order performs from stale long distances
 // (measured by bench/fig_work_efficiency).
 //
-// Two classic delta-stepping refinements are modeled:
+// The driver runs the shared relax client (bfs/relax_client.h) with a
+// DeltaBuckets rule. Two classic delta-stepping refinements are modeled:
 //   * stale-token skip: a delivered token whose packed bucket exceeds
 //     the vertex's current bucket is dropped without touching its edges
 //     (a fresher token exists — completed or in flight — that relaxes
@@ -39,13 +40,16 @@
 
 namespace scq::bfs {
 
-struct PtSsspDeltaOptions {
+// Observability sinks: tasks::RunSinks, attached per attempt by the run
+// harness (tasks/run_harness.h).
+struct PtSsspDeltaOptions : tasks::RunSinks {
   // Bucket width. 0 = auto: the graph's mean edge weight (>= 1), the
   // standard delta-stepping compromise between bucket count (small
   // delta) and intra-bucket wasted work (large delta).
   std::uint64_t delta = 0;
   // Priority bands in the multi-queue; buckets at or above num_bands
-  // share the last band (approximate priority, still correct).
+  // share the last band (approximate priority, still correct). SimError
+  // outside [1, BucketedMultiQueue::kMaxBands].
   std::uint32_t num_bands = 8;
   // Optional A* mode: admissible AND consistent per-vertex heuristic
   // evaluated host-side once per vertex before launch (models a
@@ -58,16 +62,6 @@ struct PtSsspDeltaOptions {
   double queue_headroom = 3.0;
   std::uint64_t queue_capacity = 0;  // 0 = auto; deadlock retries double
   std::uint32_t num_workgroups = 0;
-  // Observability sinks (not owned; nullptr disables) — identical
-  // attach-per-attempt semantics to PtSsspOptions.
-  simt::Telemetry* telemetry = nullptr;
-  simt::TraceRecorder* trace = nullptr;
-  simt::OpHistory* history = nullptr;
-  simt::TaskTrace* task_trace = nullptr;
-  simt::SimProfiler* profiler = nullptr;
-  // Optional flight-recorder sink; see PtBfsOptions::recorder (always
-  // attached internally so deadlocked attempts dump black boxes).
-  simt::FlightRecorder* recorder = nullptr;
 };
 
 // Runs delta-stepping SSSP from `source` on a BucketedMultiQueue.

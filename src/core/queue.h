@@ -317,9 +317,9 @@ class DeviceQueue {
   // count (the default forwards, same simulated cost); the banded
   // multi-queue needs the tickets themselves to credit each band's
   // Completed counter — its closure-frontier termination depends on
-  // knowing *which* band finished work, not just how much. Drivers that
-  // collect finished tickets anyway (pt_driver, the SSSP kernels) call
-  // this form. Entries may be kNoTask for untraceable schedulers.
+  // knowing *which* band finished work, not just how much. The task
+  // engine's work cycle calls this form. Entries may be kNoTask for
+  // untraceable schedulers.
   virtual Kernel<void> report_complete_tickets(
       Wave& w, std::span<const std::uint64_t> tickets);
 

@@ -8,14 +8,13 @@
 //     all-done check, slot acquisition, arrival polling, backpressure
 //     throttle, publish, completion credits) and delegates exactly two
 //     things to the client: the enumeration prolog for arrived lanes
-//     and one work step over the running lanes. The loop structure is
-//     the proven pt_bfs kernel's, verbatim — pt_bfs itself is
-//     re-expressed as a client, and a test pins the re-expression
-//     bit-exact against the original inline kernel at seed 0 — with
-//     one extension: completions are reported per ticket, so the
-//     banded multi-queue's closure frontier works unchanged, and on
+//     and one work step over the running lanes. It is the only
+//     single-device work cycle: the BFS, SSSP and delta-stepping
+//     drivers (bfs/relax_client.h) and the host-callback layer below
+//     are all clients of it. Completions are reported per ticket, so
+//     the banded multi-queue's closure frontier works unchanged, and on
 //     banded queues slot acquisition also runs for assigned-only waves
-//     (the closed-band rescue, as in the delta-stepping driver).
+//     (the closed-band rescue).
 //
 //   TaskContext / run_host_tasks / run_task_graph — the host-callback
 //     task API. User tasks are host functions handed a TaskContext:
@@ -51,6 +50,7 @@
 
 #include "core/queue.h"
 #include "sim/device.h"
+#include "tasks/run_harness.h"
 #include "tasks/task_token.h"
 
 namespace scq::tasks {
@@ -59,17 +59,20 @@ namespace scq::tasks {
 
 // Per-wave client: one instance per persistent wave, created by the
 // factory below, holding whatever per-lane registers the application
-// needs (the BFS client keeps cursor/row-end/cost arrays).
+// needs (the relax client keeps cursor/row-end/cost arrays).
 class TaskWaveClient {
  public:
   virtual ~TaskWaveClient() = default;
 
   // Enumeration prolog for lanes whose token just arrived. `tokens` is
   // valid at the arrived lanes; st.deliver_ticket carries each lane's
-  // trace id. Runs before the work phase of the same cycle.
-  virtual Kernel<void> on_arrival(Wave& w, WaveQueueState& st,
-                                  LaneMask arrived,
-                                  std::span<const std::uint64_t> tokens) = 0;
+  // trace id. Runs before the work phase of the same cycle. Returns the
+  // arrived lanes whose task is already complete (e.g. a stale token
+  // dropped on sight): they never run a work step, and their tickets
+  // are credited this cycle ahead of the work-step completions.
+  virtual Kernel<LaneMask> on_arrival(
+      Wave& w, WaveQueueState& st, LaneMask arrived,
+      std::span<const std::uint64_t> tokens) = 0;
 
   // One work step over `run`. Push children with st.push_token (at most
   // the engine's work_budget per lane per step — the backpressure
@@ -89,7 +92,7 @@ using ReserveHook = std::function<void(std::uint64_t ticket,
 
 struct TaskEngineOptions {
   // Worst-case children per lane per work step: the publish-
-  // backpressure throttle denominator (pt_bfs semantics).
+  // backpressure throttle denominator.
   unsigned work_budget = 4;
   // Wait between polls when a work cycle makes no progress.
   simt::Cycle poll_interval = 240;
@@ -191,13 +194,14 @@ simt::RunResult run_host_tasks(simt::Device& dev, DeviceQueue& queue,
                                const HostTaskOptions& options = {},
                                TaskStats* stats = nullptr);
 
-// High-level front-end mirroring run_pt_bfs: builds a fresh device per
-// attempt, sizes and constructs the queue variant (mq gets one ring per
-// band and the cluster cost map), attaches observability, and retries
-// with doubled capacity if the publish-deadlock detector fires.
-struct TaskGraphOptions {
+// High-level front-end on the shared run harness (tasks/run_harness.h):
+// sizes and constructs the queue variant (mq gets one ring per band and
+// the cluster cost map), attaches observability, and retries with
+// doubled capacity if the publish-deadlock detector fires.
+struct TaskGraphOptions : RunSinks {
   QueueVariant variant = QueueVariant::kRfan;
-  // Bands for QueueVariant::kMq (ignored otherwise).
+  // Bands for QueueVariant::kMq (ignored otherwise); SimError outside
+  // [1, BucketedMultiQueue::kMaxBands].
   std::uint32_t num_bands = 4;
   // Auto sizing: capacity = max(seeds, payload_hint) * headroom +
   // kWaveWidth; banded queues additionally guarantee every band a ring
@@ -213,14 +217,6 @@ struct TaskGraphOptions {
   // state (labels, residuals, colors) MUST reset it here or a retried
   // attempt starts from a half-mutated world.
   std::function<void()> on_attempt;
-  // Observability sinks, pt_bfs conventions (not owned; nullptr
-  // disables; cleared/attached per attempt).
-  simt::Telemetry* telemetry = nullptr;
-  simt::TraceRecorder* trace = nullptr;
-  simt::OpHistory* history = nullptr;
-  simt::TaskTrace* task_trace = nullptr;
-  simt::SimProfiler* profiler = nullptr;
-  simt::FlightRecorder* recorder = nullptr;
 };
 
 struct TaskGraphResult {

@@ -8,6 +8,9 @@ namespace scq::util {
 DiffResult diff_metrics(const std::map<std::string, double>& baseline,
                         const std::map<std::string, double>& current,
                         double tolerance_pct, double abs_tolerance) {
+  // Both tolerances 0: the baseline is a determinism contract, so any
+  // change fails — a drop as well as a rise.
+  const bool exact = tolerance_pct == 0.0 && abs_tolerance == 0.0;
   DiffResult result;
   for (const auto& [key, base] : baseline) {
     const auto it = current.find(key);
@@ -29,7 +32,7 @@ DiffResult diff_metrics(const std::map<std::string, double>& baseline,
     // the tolerance knob silently mean "absolute" there.
     const double allowance =
         base > 0.0 ? base * tolerance_pct / 100.0 : abs_tolerance;
-    d.regressed = d.current > base + allowance;
+    d.regressed = exact ? d.current != base : d.current > base + allowance;
     result.deltas.push_back(std::move(d));
   }
   return result;
@@ -50,7 +53,10 @@ std::string render_diff(const DiffResult& diff, bool all) {
   for (const MetricDelta& d : diff.deltas) {
     if (!d.regressed && !all) continue;
     std::snprintf(buf, sizeof(buf), "  %-10s %-40s %14g -> %14g (%+.2f%%)\n",
-                  d.regressed ? "REGRESSED" : "ok", d.key.c_str(), d.baseline,
+                  !d.regressed                 ? "ok"
+                  : d.current < d.baseline ? "CHANGED"
+                                           : "REGRESSED",
+                  d.key.c_str(), d.baseline,
                   d.current, d.delta_pct);
     out += buf;
   }

@@ -4,8 +4,8 @@
 //
 // The simulator is integer-deterministic, so a same-seed rerun
 // reproduces every metric bit-exactly and baselines can be checked into
-// the repo and compared across machines. The diff treats every metric
-// as higher-is-worse (they are cycle counts, retry counts, and latency
+// the repo and compared across machines. Under a non-zero tolerance the
+// diff treats every metric as higher-is-worse (they are cycle counts, retry counts, and latency
 // percentiles); a metric present in the baseline but missing from the
 // current run is itself a regression — a silently vanished measurement
 // must not pass the guard.
@@ -51,8 +51,12 @@ struct DiffResult {
 // relative *to*, so it falls back to the absolute allowance instead:
 //   current > abs_tolerance
 // (the default 0 demands a zero metric stay exactly zero — the honest
-// reading of a deterministic baseline). Metrics only in `current` are
-// ignored — new measurements must not fail old baselines.
+// reading of a deterministic baseline). With both tolerances 0 the diff
+// is exact and two-sided: any change fails, a drop as well as a rise,
+// since an unexplained improvement of a seed-0 count is a behaviour
+// change too (re-baseline deliberately; see TESTING.md). Metrics only
+// in `current` are ignored — new measurements must not fail old
+// baselines.
 [[nodiscard]] DiffResult diff_metrics(
     const std::map<std::string, double>& baseline,
     const std::map<std::string, double>& current, double tolerance_pct,

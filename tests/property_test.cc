@@ -11,10 +11,10 @@
 #include "bfs/pt_bfs.h"
 #include "core/counters.h"
 #include "core/host_queue.h"
-#include "core/pt_driver.h"
 #include "core/ext_schedulers.h"
 #include "graph/bfs_ref.h"
 #include "graph/generators.h"
+#include "tasks/task_engine.h"
 #include "util/prng.h"
 
 namespace scq {
@@ -107,16 +107,17 @@ TEST(RandomDagConservation, EveryVariantConservesRandomDags) {
       util::Xoshiro256 rng(seed);
       std::map<std::uint64_t, int> visits;
       std::uint64_t next_id = 1;
-      const std::vector<std::uint64_t> seeds{0};
-      const auto run = run_persistent_tasks(
-          dev, *queue, seeds, [&](std::uint64_t token, const auto& emit) {
+      const std::vector<tasks::TaskSeed> seeds{{0, 0}};
+      const auto run = tasks::run_host_tasks(
+          dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
+            const std::uint64_t token = ctx.payload();
             visits[token] += 1;
             const std::uint64_t depth = token & 0xff;
             if (depth >= 7) return;
             const std::uint64_t fanout =
                 depth < 2 ? 3 : rng.below(4);  // ramp then irregular
             for (std::uint64_t i = 0; i < fanout; ++i) {
-              emit((next_id++ << 8) | (depth + 1));
+              ctx.spawn((next_id++ << 8) | (depth + 1), 0);
             }
           });
       ASSERT_FALSE(run.aborted) << run.abort_reason;

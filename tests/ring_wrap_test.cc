@@ -13,10 +13,10 @@
 
 #include "core/counters.h"
 #include "core/ext_schedulers.h"
-#include "core/pt_driver.h"
 #include "core/queue.h"
 #include "sim/device.h"
 #include "sim/telemetry.h"
+#include "tasks/task_engine.h"
 
 namespace scq {
 namespace {
@@ -77,14 +77,15 @@ TEST_P(RingWrapTest, TreeWorkloadSurvivesManyEpochs) {
   constexpr std::uint64_t kFanout = 3, kDepth = 5, kTotal = 364;
   std::map<std::uint64_t, int> visits;
   std::uint64_t next_id = 1;
-  const std::vector<std::uint64_t> seeds{0};
-  const RunResult result = run_persistent_tasks(
-      dev, *queue, seeds, [&](std::uint64_t token, const auto& emit) {
+  const std::vector<tasks::TaskSeed> seeds{{0, 0}};
+  const RunResult result = tasks::run_host_tasks(
+      dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
+        const std::uint64_t token = ctx.payload();
         visits[token] += 1;
         const std::uint64_t depth = token & 0xff;
         if (depth < kDepth) {
           for (std::uint64_t i = 0; i < kFanout; ++i) {
-            emit((next_id++ << 8) | (depth + 1));
+            ctx.spawn((next_id++ << 8) | (depth + 1), 0);
           }
         }
       });
@@ -145,20 +146,21 @@ TEST_P(RingWrapVariantTest, SeedFillingTheRingStillTerminates) {
   if (auto* d = dynamic_cast<DistributedQueue*>(queue.get())) {
     n_seeds = d->per_queue_capacity();
   }
-  std::vector<std::uint64_t> seeds;
+  std::vector<tasks::TaskSeed> seeds;
   for (std::uint64_t i = 0; i < n_seeds; ++i) {
-    seeds.push_back(i << 8);  // id << 8 | depth
+    seeds.push_back({i << 8, 0});  // id << 8 | depth, band 0
   }
 
   constexpr std::uint64_t kDepth = 3;
   std::map<std::uint64_t, int> visits;
   std::uint64_t next_id = n_seeds;
-  const RunResult result = run_persistent_tasks(
-      dev, *queue, seeds, [&](std::uint64_t token, const auto& emit) {
+  const RunResult result = tasks::run_host_tasks(
+      dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
+        const std::uint64_t token = ctx.payload();
         visits[token] += 1;
         const std::uint64_t depth = token & 0xff;
         if (depth < kDepth) {
-          for (int i = 0; i < 2; ++i) emit((next_id++ << 8) | (depth + 1));
+          for (int i = 0; i < 2; ++i) ctx.spawn((next_id++ << 8) | (depth + 1), 0);
         }
       });
 
@@ -186,12 +188,13 @@ TEST_P(RingWrapVariantTest, SequentialChainWrapsWithoutLossOrDup) {
 
   constexpr std::uint64_t kChain = 200;
   std::vector<int> visits(kChain, 0);
-  const std::vector<std::uint64_t> seeds{0};
-  const RunResult result = run_persistent_tasks(
-      dev, *queue, seeds, [&](std::uint64_t token, const auto& emit) {
+  const std::vector<tasks::TaskSeed> seeds{{0, 0}};
+  const RunResult result = tasks::run_host_tasks(
+      dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
+        const std::uint64_t token = ctx.payload();
         ASSERT_LT(token, kChain);
         visits[token] += 1;
-        if (token + 1 < kChain) emit(token + 1);
+        if (token + 1 < kChain) ctx.spawn(token + 1, 0);
       });
 
   EXPECT_FALSE(result.aborted) << result.abort_reason;
@@ -216,11 +219,12 @@ TEST(RingWrapTelemetryTest, PublishStallHistogramReachesJsonExport) {
   auto queue = make_scheduler(dev, QueueVariant::kRfan, 8);
 
   std::uint64_t next_id = 1;
-  const std::vector<std::uint64_t> seeds{0};
-  const RunResult result = run_persistent_tasks(
-      dev, *queue, seeds, [&](std::uint64_t token, const auto& emit) {
+  const std::vector<tasks::TaskSeed> seeds{{0, 0}};
+  const RunResult result = tasks::run_host_tasks(
+      dev, *queue, seeds, [&](tasks::TaskContext& ctx) {
+        const std::uint64_t token = ctx.payload();
         if ((token & 0xff) < 5) {
-          for (int i = 0; i < 3; ++i) emit((next_id++ << 8) | ((token & 0xff) + 1));
+          for (int i = 0; i < 3; ++i) ctx.spawn((next_id++ << 8) | ((token & 0xff) + 1), 0);
         }
       });
   ASSERT_FALSE(result.aborted) << result.abort_reason;

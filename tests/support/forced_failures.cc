@@ -10,15 +10,9 @@
 
 namespace scq::fuzz {
 
-namespace {
-
 using simt::Kernel;
 using simt::Wave;
 
-// Publishes one token and then keeps flushing the parked reservation —
-// never dequeues, so the slot it waits on can never recycle. The
-// publish deadlock detector aborts the kernel after
-// kPublishDeadlockRounds frozen attempts.
 Kernel<void> publish_only_wave(Wave& w, DeviceQueue& queue) {
   WaveQueueState st{};
   st.push_token(0, 42);
@@ -26,8 +20,6 @@ Kernel<void> publish_only_wave(Wave& w, DeviceQueue& queue) {
     co_await queue.publish(w, st);
   }
 }
-
-}  // namespace
 
 ForcedDump forced_publish_deadlock_dump() {
   simt::DeviceConfig cfg;

@@ -11,7 +11,15 @@
 
 #include <string>
 
+#include "core/queue.h"
+
 namespace scq::fuzz {
+
+// Publishes one token and then keeps flushing the parked reservation —
+// never dequeues. On a ring seeded full, the slot it waits on can never
+// recycle, so the publish deadlock detector aborts the kernel after
+// kPublishDeadlockRounds frozen attempts.
+simt::Kernel<void> publish_only_wave(simt::Wave& w, DeviceQueue& queue);
 
 struct ForcedDump {
   std::string reason;  // the abort reason the runtime produced

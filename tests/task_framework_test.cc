@@ -1,19 +1,21 @@
 // Dynamic task framework (src/tasks) unit tests: the soundness guards
 // (spawn depth, dependency-counter underflow, unreleased dependencies,
 // band monotonicity), the overflow stash, phase-close accounting on the
-// banded multi-queue, and the pin that the task-engine re-expression of
-// pt_bfs is bit-exact with the legacy inline kernel.
+// banded multi-queue, and the shared run harness's retry path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "bfs/datasets.h"
-#include "bfs/pt_bfs.h"
-#include "graph/bfs_ref.h"
-#include "graph/generators.h"
+#include "core/bucketed_queue.h"
+#include "core/ext_schedulers.h"
+#include "sim/flight_recorder.h"
+#include "sim/op_history.h"
+#include "sim/task_trace.h"
+#include "sim/trace.h"
+#include "support/forced_failures.h"
+#include "tasks/run_harness.h"
 #include "tasks/task_engine.h"
 
 namespace scq::tasks {
@@ -251,41 +253,151 @@ TEST(TaskFramework, LowerBandSpawnAllowedOnSingleBandQueues) {
   EXPECT_EQ(executed, 2u);
 }
 
-// ---- pt_bfs on the engine: bit-exact with the legacy kernel ----
-
-class PtBfsEngineBitExact
-    : public ::testing::TestWithParam<std::tuple<QueueVariant, bool>> {};
-
-TEST_P(PtBfsEngineBitExact, MatchesLegacyKernelCycleForCycle) {
-  const auto [variant, atomic] = GetParam();
-  graph::RmatParams p;
-  p.n_vertices = 1024;
-  p.n_edges = 8192;
-  const graph::Graph g = graph::rmat(p);
-
-  bfs::PtBfsOptions legacy;
-  legacy.variant = variant;
-  legacy.atomic_discovery = atomic;
-  legacy.use_task_engine = false;
-  bfs::PtBfsOptions engine = legacy;
-  engine.use_task_engine = true;
-
-  const bfs::BfsResult a = bfs::run_pt_bfs(small_device(), g, 0, legacy);
-  const bfs::BfsResult b = bfs::run_pt_bfs(small_device(), g, 0, engine);
-  ASSERT_FALSE(a.run.aborted);
-  ASSERT_FALSE(b.run.aborted);
-  // The engine re-expression must not perturb the event schedule at
-  // all: same cycle count, same attempt count, same levels.
-  EXPECT_EQ(a.run.cycles, b.run.cycles);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.levels, b.levels);
+TEST(TaskFramework, BandCountOutsideTheQueueLimitThrows) {
+  // The banded front-ends share one band check: a bad count is an
+  // error, never silently clamped.
+  const std::vector<TaskSeed> seeds = {{0, 0}};
+  for (const std::uint32_t bands : {0u, BucketedMultiQueue::kMaxBands + 1}) {
+    TaskGraphOptions opt;
+    opt.variant = QueueVariant::kMq;
+    opt.num_bands = bands;
+    EXPECT_THROW(run_task_graph(small_device(), seeds,
+                                [](TaskContext&) {}, opt),
+                 simt::SimError)
+        << "bands=" << bands;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Variants, PtBfsEngineBitExact,
-    ::testing::Combine(::testing::Values(QueueVariant::kBase, QueueVariant::kAn,
-                                         QueueVariant::kRfan),
-                       ::testing::Bool()));
+// ---- Shared run harness: the retry path ----
+
+// Drives run_with_retry with an attempt body whose first `aborts`
+// attempts deadlock on purpose (ring seeded full, one wave publishing
+// and never consuming) and whose later attempts run a small host-task
+// chain. Records the capacity each attempt was built with.
+class ScriptedAttempts {
+ public:
+  explicit ScriptedAttempts(std::uint32_t aborts) : aborts_(aborts) {}
+
+  RetryRun run(const CapacityPlan& plan, const RunSinks& sinks = {},
+               bool detach_recorder = false) {
+    return run_with_retry(
+        small_device(), plan, sinks,
+        [this](simt::Device& dev, std::uint64_t capacity) {
+          capacities.push_back(capacity);
+          return make_scheduler(dev, QueueVariant::kRfan, capacity);
+        },
+        [this](simt::Device& dev, DeviceQueue& queue) {
+          if (capacities.size() <= aborts_) {
+            const std::vector<std::uint64_t> fill(queue.layout().capacity, 7);
+            queue.seed(dev, fill);
+            return dev.launch(1, [&](Wave& w) -> Kernel<void> {
+              return fuzz::publish_only_wave(w, queue);
+            });
+          }
+          const std::vector<TaskSeed> seeds = {{1, 0}, {2, 0}};
+          return run_host_tasks(dev, queue, seeds, [](TaskContext& ctx) {
+            if (ctx.payload() < 40) ctx.spawn(ctx.payload() + 2, 0);
+          });
+        },
+        detach_recorder);
+  }
+
+  std::vector<std::uint64_t> capacities;
+
+ private:
+  std::uint32_t aborts_;
+};
+
+TEST(RunHarness, ExplicitCapacityDoublesEachAttempt) {
+  ScriptedAttempts script(3);
+  const RetryRun r = script.run({.explicit_capacity = 16});
+  EXPECT_FALSE(r.run.aborted) << r.run.abort_reason;
+  EXPECT_EQ(r.attempts, 4u);
+  EXPECT_EQ(script.capacities, (std::vector<std::uint64_t>{16, 32, 64, 128}));
+  // The last aborted attempt's black box survives the successful retry.
+  EXPECT_NE(r.black_box.find("\"capacity\":64"), std::string::npos)
+      << r.black_box.substr(0, 400);
+}
+
+TEST(RunHarness, AutoCapacityDoublesTheHeadroom) {
+  ScriptedAttempts script(2);
+  const RetryRun r = script.run({.hint = 100, .headroom = 1.5});
+  EXPECT_FALSE(r.run.aborted) << r.run.abort_reason;
+  EXPECT_EQ(r.attempts, 3u);
+  // hint * headroom + kWaveWidth, headroom doubling per retry.
+  EXPECT_EQ(script.capacities,
+            (std::vector<std::uint64_t>{150 + kWaveWidth, 300 + kWaveWidth,
+                                        600 + kWaveWidth}));
+}
+
+TEST(RunHarness, StopsAfterEightAttempts) {
+  ScriptedAttempts script(100);
+  const RetryRun r = script.run({.explicit_capacity = 4});
+  EXPECT_TRUE(r.run.aborted);
+  EXPECT_EQ(r.attempts, kMaxAttempts);
+  ASSERT_EQ(script.capacities.size(), kMaxAttempts);
+  EXPECT_EQ(script.capacities.back(), 4u << (kMaxAttempts - 1));
+  EXPECT_NE(r.black_box.find(r.run.abort_reason), std::string::npos);
+}
+
+TEST(RunHarness, CleanFirstAttemptLeavesNoBlackBox) {
+  ScriptedAttempts script(0);
+  const RetryRun r = script.run({.explicit_capacity = 16});
+  EXPECT_FALSE(r.run.aborted);
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_TRUE(r.black_box.empty());
+}
+
+// The per-attempt sinks of one run, owned together.
+struct OwnedSinks {
+  simt::TraceRecorder trace;
+  simt::OpHistory history;
+  simt::TaskTrace task_trace;
+  simt::FlightRecorder recorder;
+
+  RunSinks view() {
+    RunSinks s;
+    s.trace = &trace;
+    s.history = &history;
+    s.task_trace = &task_trace;
+    s.recorder = &recorder;
+    return s;
+  }
+};
+
+TEST(RunHarness, PerAttemptSinksHoldOnlyTheFinalAttempt) {
+  // Two deadlocked attempts, then a clean one at capacity 64 — whose
+  // trace, history, task trace and recorder must match a run that
+  // started at 64 and never retried.
+  OwnedSinks got;
+  ScriptedAttempts retried(2);
+  const RetryRun r = retried.run({.explicit_capacity = 16}, got.view());
+  ASSERT_EQ(r.attempts, 3u);
+
+  OwnedSinks want;
+  ScriptedAttempts clean(0);
+  const RetryRun ref = clean.run({.explicit_capacity = 64}, want.view());
+  ASSERT_EQ(ref.attempts, 1u);
+
+  EXPECT_EQ(r.run.cycles, ref.run.cycles);
+  EXPECT_GT(got.history.size(), 0u);
+  EXPECT_EQ(got.history.size(), want.history.size());
+  EXPECT_GT(got.task_trace.size(), 0u);
+  EXPECT_EQ(got.task_trace.size(), want.task_trace.size());
+  EXPECT_EQ(got.trace.to_chrome_json(), want.trace.to_chrome_json());
+  EXPECT_EQ(got.recorder.size(), want.recorder.size());
+}
+
+TEST(RunHarness, DetachedRecorderStaysEmpty) {
+  simt::FlightRecorder recorder;
+  RunSinks sinks;
+  sinks.recorder = &recorder;
+  ScriptedAttempts script(0);
+  (void)script.run({.explicit_capacity = 16}, sinks, /*detach_recorder=*/true);
+  EXPECT_EQ(recorder.size(), 0u);
+  (void)script.run({.explicit_capacity = 16}, sinks);
+  EXPECT_GT(recorder.size(), 0u);
+}
 
 }  // namespace
 }  // namespace scq::tasks

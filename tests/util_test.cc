@@ -1,11 +1,12 @@
 // Tests for the utility layer: flag parsing, table/CSV rendering, PRNG
-// determinism and distribution sanity.
+// determinism and distribution sanity, and the exact baseline diff.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "util/args.h"
 #include "util/csv.h"
+#include "util/perf_diff.h"
 #include "util/prng.h"
 #include "util/table.h"
 
@@ -185,6 +186,34 @@ TEST(PrngTest, ChanceRoughlyCalibrated) {
   int hits = 0;
   for (int i = 0; i < 10'000; ++i) hits += rng.chance(0.3);
   EXPECT_NEAR(hits / 10'000.0, 0.3, 0.03);
+}
+
+// ---- Exact baseline diff (tolerance 0, abs tolerance 0) ----
+
+TEST(PerfDiffExactTest, RiseFails) {
+  const DiffResult diff = diff_metrics({{"cycles", 1000.0}},
+                                       {{"cycles", 1001.0}}, 0.0);
+  EXPECT_FALSE(diff.ok());
+  EXPECT_NE(render_diff(diff, false).find("REGRESSED"), std::string::npos);
+}
+
+TEST(PerfDiffExactTest, DropFails) {
+  // A seed-0 count that moves down is a behaviour change too.
+  const DiffResult diff = diff_metrics({{"cycles", 1000.0}, {"zero", 0.0}},
+                                       {{"cycles", 999.0}, {"zero", 0.0}},
+                                       0.0);
+  EXPECT_FALSE(diff.ok());
+  ASSERT_EQ(diff.deltas.size(), 2u);
+  EXPECT_TRUE(diff.deltas[0].regressed);
+  EXPECT_FALSE(diff.deltas[1].regressed);
+  EXPECT_NE(render_diff(diff, false).find("CHANGED"), std::string::npos);
+}
+
+TEST(PerfDiffExactTest, IdenticalPassesAndToleranceStaysOneSided) {
+  EXPECT_TRUE(diff_metrics({{"x", 7.0}}, {{"x", 7.0}}, 0.0).ok());
+  // Any non-zero tolerance keeps the higher-is-worse reading.
+  EXPECT_TRUE(diff_metrics({{"x", 7.0}}, {{"x", 1.0}}, 0.5).ok());
+  EXPECT_TRUE(diff_metrics({{"x", 0.0}}, {{"x", 0.5}}, 0.0, 1.0).ok());
 }
 
 }  // namespace
