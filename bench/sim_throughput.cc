@@ -30,7 +30,10 @@
 // The checked-in baseline must contain ONLY the deterministic metrics
 // (events, cycles, total_ops, ops.*) — perf_diff ignores keys that are
 // present only in the current artifact, so the wall-clock extras here
-// never trip the guard.
+// never trip the guard. They are the counts of ONE run, so the baseline
+// diffs the same at any --repeat; the bench fails when a later run of
+// the pass does not reproduce the first run's counts exactly.
+#include <array>
 #include <chrono>
 
 #include "bench_common.h"
@@ -40,18 +43,50 @@ using namespace scq::bench;
 
 namespace {
 
+// The deterministic counts of one seed-0 run.
+struct RunCounts {
+  std::uint64_t events = 0;
+  simt::Cycle cycles = 0;
+  std::array<std::uint64_t, simt::SimProfiler::kOps> ops{};
+
+  static RunCounts of(const simt::SimProfiler& prof) {
+    RunCounts c{prof.events(), prof.cycles(), {}};
+    for (unsigned i = 0; i < simt::SimProfiler::kOps; ++i) {
+      c.ops[i] = prof.op_count(static_cast<simt::TraceOp>(i));
+    }
+    return c;
+  }
+  RunCounts operator-(const RunCounts& o) const {
+    RunCounts d{events - o.events, cycles - o.cycles, {}};
+    for (unsigned i = 0; i < simt::SimProfiler::kOps; ++i) {
+      d.ops[i] = ops[i] - o.ops[i];
+    }
+    return d;
+  }
+  bool operator==(const RunCounts&) const = default;
+  [[nodiscard]] std::uint64_t total_ops() const {
+    std::uint64_t n = 0;
+    for (const std::uint64_t k : ops) n += k;
+    return n;
+  }
+};
+
 // One measured pass: `repeat` identical seed-0 BFS runs with the given
-// sinks attached, accumulating into `prof`.
-void run_pass(const simt::DeviceConfig& config, const graph::Graph& g,
-              std::uint32_t repeat, simt::SimProfiler& prof,
-              simt::Telemetry* telemetry, bool detach_recorder = false) {
+// sinks attached, accumulating into `prof`. Returns each run's counts.
+std::vector<RunCounts> run_pass(const simt::DeviceConfig& config,
+                                const graph::Graph& g, std::uint32_t repeat,
+                                simt::SimProfiler& prof,
+                                simt::Telemetry* telemetry) {
+  std::vector<RunCounts> runs;
   for (std::uint32_t r = 0; r < repeat; ++r) {
+    const RunCounts before = RunCounts::of(prof);
     bfs::PtBfsOptions opt;
     opt.profiler = &prof;
     opt.telemetry = telemetry;
-    opt.detach_recorder = detach_recorder;
     (void)run_validated(config, g, 0, opt);
+    runs.push_back(RunCounts::of(prof) - before);
   }
+  return runs;
 }
 
 // One run, individually timed (steady clock around the whole run).
@@ -126,27 +161,46 @@ int main(int argc, char** argv) {
   // the deterministic baseline and its wall time the overhead reference.
   simt::SimProfiler& prof = obs.profiler();
   prof.reset();
-  run_pass(config, g, repeat, prof, nullptr);
+  const std::vector<RunCounts> runs =
+      run_pass(config, g, repeat, prof, nullptr);
   const double bare_wall = prof.wall_seconds();
+  // The baseline holds the counts of ONE run, so it diffs the same at any
+  // --repeat; every further run must reproduce them exactly.
+  const RunCounts& one = runs.front();
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    if (!(runs[r] == one)) {
+      std::fprintf(stderr,
+                   "FATAL: seed-0 run %zu produced different counts than "
+                   "run 1 (%llu vs %llu events, %llu vs %llu cycles) — the "
+                   "simulator is not deterministic\n",
+                   r + 1, static_cast<unsigned long long>(runs[r].events),
+                   static_cast<unsigned long long>(one.events),
+                   static_cast<unsigned long long>(runs[r].cycles),
+                   static_cast<unsigned long long>(one.cycles));
+      return 1;
+    }
+  }
   std::printf("\nbare event loop (telemetry detached):\n");
-  std::printf("  events %llu, simulated cycles %llu, wave ops %llu\n",
-              static_cast<unsigned long long>(prof.events()),
-              static_cast<unsigned long long>(prof.cycles()),
-              static_cast<unsigned long long>(prof.total_ops()));
+  std::printf("  per run: events %llu, simulated cycles %llu, wave ops %llu "
+              "(identical across %u runs)\n",
+              static_cast<unsigned long long>(one.events),
+              static_cast<unsigned long long>(one.cycles),
+              static_cast<unsigned long long>(one.total_ops()), repeat);
   std::printf("  wall %.3f ms, %.3g events/sec\n", bare_wall * 1e3,
               prof.events_per_sec());
   std::printf("\nper-event-type wall-clock attribution (sampled):\n");
   print_attribution(prof);
 
-  // Deterministic metrics for --json / --baseline. The wall-clock keys
-  // below them are informational only and must not enter the baseline.
-  obs.record_metric("events", static_cast<double>(prof.events()));
-  obs.record_metric("cycles", static_cast<double>(prof.cycles()));
-  obs.record_metric("total_ops", static_cast<double>(prof.total_ops()));
+  // Deterministic metrics for --json / --baseline: one run's counts. The
+  // wall-clock keys below them are informational only and must not enter
+  // the baseline.
+  obs.record_metric("events", static_cast<double>(one.events));
+  obs.record_metric("cycles", static_cast<double>(one.cycles));
+  obs.record_metric("total_ops", static_cast<double>(one.total_ops()));
   for (unsigned i = 0; i < simt::SimProfiler::kOps; ++i) {
     const auto op = static_cast<simt::TraceOp>(i);
     obs.record_metric(std::string("ops.") + simt::to_string(op),
-                      static_cast<double>(prof.op_count(op)));
+                      static_cast<double>(one.ops[i]));
   }
   obs.record_metric("wall_ms", bare_wall * 1e3);
   obs.record_metric("events_per_sec", prof.events_per_sec());

@@ -13,18 +13,9 @@ using simt::Addr;
 using simt::Kernel;
 using simt::LaneMask;
 using simt::Wave;
+using simt::bit;
+using simt::for_lanes;
 using simt::kWaveWidth;
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
 
 struct ChaiBuffers {
   simt::Buffer frontier0;  // V words

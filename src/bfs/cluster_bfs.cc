@@ -7,30 +7,12 @@
 
 #include "cluster/token.h"
 #include "core/counters.h"
-#include "core/task_probes.h"
 #include "core/telemetry_probes.h"
 #include "graph/sssp_ref.h"
 
 namespace scq::bfs {
 
 namespace {
-
-using simt::Addr;
-using simt::Kernel;
-using simt::LaneMask;
-using simt::Wave;
-using simt::kWaveWidth;
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
 
 // Per-lane vertex-processing registers (the cluster twin of pt_bfs's
 // LaneWork: `cost` is the enumeration base, whatever kind the token was).
@@ -154,17 +136,18 @@ Kernel<void> cluster_wave(Wave& w, const DeviceCtx& ctx) {
         }
 
         const LaneMask immediate = arrived & ~enumerate;
-        const bool tasks_traced = task_sink(w) != nullptr;
         for_lanes(arrived, [&](unsigned lane) {
           lw.ticket[lane] = st.deliver_ticket[lane];
-          if (tasks_traced) {
-            trace_task(w, simt::TaskPhase::kExecStart, lw.ticket[lane],
-                       lw.vertex[lane]);
-            if (immediate & bit(lane)) {
-              trace_task(w, simt::TaskPhase::kExecEnd, lw.ticket[lane]);
-            }
-          }
         });
+        emit(w, {.step = simt::QueueStep::kExecStart,
+                 .lanes = arrived,
+                 .tickets = lw.ticket.data(),
+                 .payloads = lw.vertex.data()});
+        if (immediate) {
+          emit(w, {.step = simt::QueueStep::kExecEnd,
+                   .lanes = immediate,
+                   .tickets = lw.ticket.data()});
+        }
         working |= enumerate;
         finished += static_cast<std::uint32_t>(std::popcount(immediate));
         w.bump(kTasksProcessed,
@@ -259,15 +242,14 @@ Kernel<void> cluster_wave(Wave& w, const DeviceCtx& ctx) {
       }
 
       LaneMask done_lanes = 0;
-      const bool tasks_traced = task_sink(w) != nullptr;
       for_lanes(run, [&](unsigned lane) {
-        if (lw.cursor[lane] >= lw.row_end[lane]) {
-          done_lanes |= bit(lane);
-          if (tasks_traced) {
-            trace_task(w, simt::TaskPhase::kExecEnd, lw.ticket[lane]);
-          }
-        }
+        if (lw.cursor[lane] >= lw.row_end[lane]) done_lanes |= bit(lane);
       });
+      if (done_lanes) {
+        emit(w, {.step = simt::QueueStep::kExecEnd,
+                 .lanes = done_lanes,
+                 .tickets = lw.ticket.data()});
+      }
       const auto n_done = static_cast<std::uint32_t>(std::popcount(done_lanes));
       finished += n_done;
       working &= ~done_lanes;

@@ -7,29 +7,11 @@
 
 #include "cluster/token.h"
 #include "core/counters.h"
-#include "core/task_probes.h"
 #include "tasks/task_engine.h"
 
 namespace scq::bfs {
 
 namespace {
-
-using simt::Addr;
-using simt::Kernel;
-using simt::LaneMask;
-using simt::Wave;
-using simt::kWaveWidth;
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
 
 using LaneWords = std::array<std::uint64_t, kWaveWidth>;
 
@@ -61,7 +43,6 @@ class RelaxClient final : public tasks::TaskWaveClient {
     });
     co_await w.load_lanes(arrived, a, cost_now);
 
-    const bool tasks_traced = task_sink(w) != nullptr;
     LaneMask stale = 0;
     for_lanes(arrived, [&](unsigned lane) {
       if (delta_ != nullptr) {
@@ -83,11 +64,13 @@ class RelaxClient final : public tasks::TaskWaveClient {
       heavy_sweep_[lane] = false;
       saw_heavy_[lane] = false;
       ticket_[lane] = st.deliver_ticket[lane];
-      if (tasks_traced) {
-        trace_task(w, simt::TaskPhase::kExecStart, ticket_[lane],
-                   vertex_[lane]);
-      }
     });
+    if (const LaneMask started = arrived & ~stale) {
+      emit(w, {.step = simt::QueueStep::kExecStart,
+               .lanes = started,
+               .tickets = ticket_.data(),
+               .payloads = vertex_.data()});
+    }
     co_return stale;
   }
 
@@ -173,7 +156,6 @@ class RelaxClient final : public tasks::TaskWaveClient {
     // Lanes whose enumeration finished become hungry next cycle; a lane
     // that skipped heavy edges on its light sweep goes round again.
     LaneMask done = 0;
-    const bool tasks_traced = task_sink(w) != nullptr;
     for_lanes(run, [&](unsigned lane) {
       if (cursor_[lane] < row_end_[lane]) return;
       if (saw_heavy_[lane] && !heavy_sweep_[lane]) {
@@ -182,10 +164,12 @@ class RelaxClient final : public tasks::TaskWaveClient {
         return;
       }
       done |= bit(lane);
-      if (tasks_traced) {
-        trace_task(w, simt::TaskPhase::kExecEnd, ticket_[lane]);
-      }
     });
+    if (done) {
+      emit(w, {.step = simt::QueueStep::kExecEnd,
+               .lanes = done,
+               .tickets = ticket_.data()});
+    }
     co_return done;
   }
 

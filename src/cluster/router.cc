@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "cluster/token.h"
-#include "sim/op_history.h"
 
 namespace scq::cluster {
 
@@ -133,16 +132,11 @@ void Router::deliver(std::span<const std::unique_ptr<simt::Device>> devices,
       dev.write_word(q.slot_addr(index), slot_full_word(epoch, token));
       dev.write_word(q.rear_addr(), rear + 1);
       ++stats_.delivered;
-      if (simt::OpHistory* hist = dev.op_history()) {
-        hist->record({simt::QueueOp::kEnqueueReserve, simt::kHostActor, rear,
-                      index, epoch, token, dev.now()});
-        hist->record({simt::QueueOp::kEnqueueWrite, simt::kHostActor, rear,
-                      index, epoch, token, dev.now()});
-      }
-      if (simt::FlightRecorder* rec = dev.flight_recorder()) {
-        rec->record({simt::FlightKind::kRouter, simt::kHostActor, 0, rear,
-                     token, 0, dev.now()});
-      }
+      emit(dev, {.step = simt::QueueStep::kInject,
+                 .ticket = rear,
+                 .count = 1,
+                 .payloads = &token,
+                 .space = queues[d].get()});
     }
   }
 }

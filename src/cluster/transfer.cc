@@ -7,12 +7,6 @@
 
 namespace scq::cluster {
 
-namespace {
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-}  // namespace
-
 TransferRing TransferRing::create(simt::Device& src, std::uint64_t capacity) {
   if (capacity == 0) {
     throw simt::SimError("TransferRing::create: capacity must be positive");
@@ -41,22 +35,24 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
     w.bump(kQueueAtomics);
     const simt::CasResult r = co_await w.atomic_add(rear_addr(), total);
 
+    if (st.n_parked + total > XferWaveState::kMaxParked) {
+      throw simt::SimError(
+          "transfer ring: parked-token overflow — the driver must "
+          "freeze production while transfers are backpressured");
+    }
+    const std::uint32_t from = st.n_parked;
     std::uint64_t ticket = r.old_value;
-    simt::FlightRecorder* rec = recorder_sink(w);
     for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
-        if (st.n_parked >= XferWaveState::kMaxParked) {
-          throw simt::SimError(
-              "transfer ring: parked-token overflow — the driver must "
-              "freeze production while transfers are backpressured");
-        }
-        if (rec) {
-          rec->record({simt::FlightKind::kXferReserve, w.slot_id(), tag_,
-                       ticket, st.new_tokens[lane][t], 0, w.now()});
-        }
-        st.parked[st.n_parked++] = {ticket++, st.new_tokens[lane][t]};
+        st.parked.ticket[st.n_parked] = ticket++;
+        st.parked.token[st.n_parked++] = st.new_tokens[lane][t];
       }
     }
+    emit(w, {.step = simt::QueueStep::kReserve,
+             .unit = tag_,
+             .ticket = r.old_value,
+             .count = total,
+             .payloads = st.parked.token.data() + from});
     st.n_new.fill(0);
     if (probes) probes->histogram(tel::kXferAggWidth).add(total);
   }
@@ -73,12 +69,12 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
     std::array<Addr, kWaveWidth> addrs{};
     std::array<std::uint64_t, kWaveWidth> want{}, full{};
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint64_t index = st.parked[i].ticket % capacity_;
-      const std::uint64_t epoch = st.parked[i].ticket / capacity_;
+      const std::uint64_t index = st.parked.ticket[i] % capacity_;
+      const std::uint64_t epoch = st.parked.ticket[i] / capacity_;
       mask |= bit(i);
       addrs[i] = slots_.base + index;
       want[i] = slot_empty_word(epoch);
-      full[i] = slot_full_word(epoch, st.parked[i].token);
+      full[i] = slot_full_word(epoch, st.parked.token[i]);
     }
     std::array<std::uint64_t, kWaveWidth> cur{};
     co_await w.load_lanes(mask, addrs, cur);
@@ -94,18 +90,17 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
     }
     co_await w.store_lanes(writable, addrs, full);
     w.bump(kXferTokens, static_cast<std::uint64_t>(std::popcount(writable)));
-    if (simt::FlightRecorder* rec = recorder_sink(w)) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (!(writable & bit(i))) continue;
-        rec->record({simt::FlightKind::kXferWrite, w.slot_id(), tag_,
-                     st.parked[i].ticket, st.parked[i].token, 0, w.now()});
-      }
-    }
+    emit(w, {.step = simt::QueueStep::kWrite,
+             .unit = tag_,
+             .lanes = writable,
+             .tickets = st.parked.ticket.data(),
+             .payloads = st.parked.token.data()});
 
     std::uint32_t out = 0;
     for (std::uint32_t i = 0; i < st.n_parked; ++i) {
       if (i < n && (writable & bit(i))) continue;
-      st.parked[out++] = st.parked[i];
+      st.parked.ticket[out] = st.parked.ticket[i];
+      st.parked.token[out++] = st.parked.token[i];
     }
     st.n_parked = out;
   }

@@ -49,13 +49,15 @@ struct XferWaveState {
   std::array<std::uint32_t, kWaveWidth> n_new{};
   std::array<std::array<std::uint64_t, kMaxWorkBudget>, kWaveWidth> new_tokens{};
 
-  struct Parked {
-    std::uint64_t ticket = 0;
-    std::uint64_t token = 0;
-  };
+  // Reserved-but-unwritten transfers, oldest ticket first; column-wise
+  // so a queue event can point at them directly.
   static constexpr std::uint32_t kMaxParked = kWaveWidth * kMaxWorkBudget;
+  struct Parked {
+    std::array<std::uint64_t, kMaxParked> ticket{};
+    std::array<std::uint64_t, kMaxParked> token{};
+  };
   std::uint32_t n_parked = 0;
-  std::array<Parked, kMaxParked> parked{};
+  Parked parked{};
 
   void push(unsigned lane, std::uint64_t token) {
     if (token > kMaxToken) {
@@ -108,10 +110,12 @@ class TransferRing {
     return src.read_word(rear_addr());
   }
 
-  // Flight-recorder unit tag: 0 is reserved for the main queue, so the
-  // cluster labels the ring to destination d as unit 1 + d. Events the
-  // producer records (kXferReserve/kXferWrite) carry this tag so the
-  // post-mortem analyzer can tell rings apart.
+  // Queue-event unit tag: 0 is reserved for the main queue, so the
+  // cluster labels the ring to destination d as unit 1 + d. The
+  // producer's reserve/write events carry this tag (the recorder logs
+  // them as kXferReserve/kXferWrite, so the post-mortem analyzer can
+  // tell rings apart); a ring publishing to attached sinks must be
+  // tagged first.
   void set_tag(std::uint32_t tag) { tag_ = tag; }
   [[nodiscard]] std::uint32_t tag() const { return tag_; }
 

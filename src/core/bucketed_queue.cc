@@ -4,22 +4,10 @@
 #include <bit>
 
 #include "core/counters.h"
-#include "core/task_probes.h"
 
 namespace scq {
 
 namespace {
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
 
 QueueLayout make_banded_layout(simt::Device& dev, std::uint64_t capacity,
                                std::uint32_t num_bands) {
@@ -66,12 +54,6 @@ DeviceQueue::SlotRef BucketedMultiQueue::slot_of(std::uint64_t ticket) const {
   const std::uint64_t band = ticket >> kTokenBits;
   const std::uint64_t local = ticket & kMaxToken;
   return {band * per_band_ + local % per_band_, local / per_band_};
-}
-
-std::uint64_t BucketedMultiQueue::ticket_of(std::uint64_t slot,
-                                            std::uint64_t epoch) const {
-  const std::uint64_t band = slot / per_band_;
-  return encode_ticket(band, epoch * per_band_ + slot % per_band_);
 }
 
 std::uint64_t BucketedMultiQueue::progress_signature(simt::Device& dev) const {
@@ -162,20 +144,13 @@ Kernel<void> BucketedMultiQueue::acquire_slots(Wave& w, WaveQueueState& st) {
       st.assigned &= ~dropped;
       st.hungry |= dropped;  // rescued lanes rejoin this cycle's claim
     }
-    simt::OpHistory* hist = history_sink(w);
-    simt::FlightRecorder* frec = recorder_sink(w);
     for (std::uint32_t b = 0; b < frontier; ++b) {
       if (close_recorded_[b]) continue;
       close_recorded_[b] = true;
       w.bump(kBandCloses);
-      if (hist) {
-        hist->record({simt::QueueOp::kBandClose, w.slot_id(),
-                      snap[bands_ + b], 0, 0, 0, w.now(), b});
-      }
-      if (frec) {
-        frec->record({simt::FlightKind::kBandClose, w.slot_id(), 0,
-                      snap[bands_ + b], 0, b, w.now()});
-      }
+      emit(w, {.step = simt::QueueStep::kBandClose,
+               .ticket = snap[bands_ + b],
+               .band = b});
     }
   }
 
@@ -208,28 +183,9 @@ Kernel<void> BucketedMultiQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   w.bump(kQueueAtomics);
   const simt::CasResult r = co_await w.atomic_add(front_of(target), n);
 
-  simt::OpHistory* hist = history_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // One AFA claimed n contiguous tickets in the band: one batch.
-    rec->log_steps(simt::FlightKind::kClaim, w.slot_id(), 0,
-                   encode_ticket(target, r.old_value), target, w.now(), n);
-  }
-  unsigned k = 0;
-  for_lanes(st.hungry, [&](unsigned lane) {
-    const std::uint64_t ticket = encode_ticket(target, r.old_value + k++);
-    const SlotRef ref = slot_of(ticket);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), ticket,
-                    ref.index, ref.epoch, 0, w.now(), target});
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, ticket);
-  });
-  st.assigned |= st.hungry;
-  st.hungry = 0;
+  std::uint64_t local = r.old_value;
+  claim_lanes(w, st, st.hungry,
+              [&](unsigned) { return encode_ticket(target, local++); });
   co_await w.compute(2);  // ticket -> (band, slot, epoch) conversion
 
   if (simt::Telemetry* probes = probe_sink(w)) {
@@ -267,14 +223,10 @@ Kernel<void> BucketedMultiQueue::publish(Wave& w, WaveQueueState& st) {
       const simt::CasResult r = co_await w.atomic_add(rear_of(b), counts[b]);
       base[b] = r.old_value;
     }
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
-      for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
-        const std::uint64_t band = mapped_band(st.new_tokens[lane][t]);
-        park(w, st, encode_ticket(band, base[band]++),
-             st.new_tokens[lane][t], st.new_parents[lane][t]);
-      }
-    }
-    st.clear_produce();
+    park_new(w, st, [&](std::uint64_t token) {
+      const std::uint64_t band = mapped_band(token);
+      return encode_ticket(band, base[band]++);
+    });
     if (probes) probes->histogram(tel::kAggWidthEnqueue).add(total);
   }
 
@@ -300,15 +252,12 @@ Kernel<void> BucketedMultiQueue::report_complete_tickets(
       1);
   std::array<std::uint32_t, kMaxBands> counts{};
   for (const std::uint64_t t : tickets) ++counts[band_of(t)];
-  simt::FlightRecorder* rec = recorder_sink(w);
   for (std::uint32_t b = 0; b < bands_; ++b) {
     if (counts[b] == 0) continue;
     w.bump(kQueueAtomics);
     co_await w.atomic_add(completed_of(b), counts[b]);
-    if (rec) {
-      rec->record({simt::FlightKind::kComplete, w.slot_id(), 0, 0, counts[b],
-                   b, w.now()});
-    }
+    emit(w,
+         {.step = simt::QueueStep::kComplete, .count = counts[b], .band = b});
   }
 }
 
@@ -341,8 +290,8 @@ void BucketedMultiQueue::seed(simt::Device& dev,
 
   // Route each seed to its band, preserving order within a band.
   std::vector<std::uint64_t> rear(bands_, 0);
-  simt::OpHistory* hist = dev.op_history();
-  simt::TaskTrace* trace = dev.task_trace();
+  std::vector<std::uint64_t> tickets;
+  tickets.reserve(tokens.size());
   for (const std::uint64_t token : tokens) {
     if (token > kMaxToken) {
       throw simt::SimError(
@@ -354,30 +303,19 @@ void BucketedMultiQueue::seed(simt::Device& dev,
       throw simt::SimError(
           "BucketedMultiQueue: seed batch exceeds a band's capacity");
     }
-    const std::uint64_t ticket = encode_ticket(band, local);
-    const SlotRef ref = slot_of(ticket);
-    dev.write_word(layout_.slot_addr(ref.index), slot_full_word(0, token));
-    if (hist) {
-      hist->record({simt::QueueOp::kEnqueueReserve, simt::kHostActor, ticket,
-                    ref.index, ref.epoch, token, dev.now(), band});
-      hist->record({simt::QueueOp::kEnqueueWrite, simt::kHostActor, ticket,
-                    ref.index, ref.epoch, token, dev.now(), band});
-    }
-    if (trace != nullptr) {
-      trace->record({simt::TaskPhase::kReserve, ticket, simt::kNoTask, token,
-                     simt::kHostActor, 0, dev.now()});
-      trace->record({simt::TaskPhase::kPayloadWrite, ticket, simt::kNoTask,
-                     token, simt::kHostActor, 0, dev.now()});
-    }
-    if (simt::FlightRecorder* rec = dev.flight_recorder()) {
-      rec->record({simt::FlightKind::kWrite, simt::kHostActor, 0, ticket,
-                   token, band, dev.now()});
-    }
+    tickets.push_back(encode_ticket(band, local));
+    dev.write_word(layout_.slot_addr(slot_of(tickets.back()).index),
+                   slot_full_word(0, token));
   }
   for (std::uint32_t b = 0; b < bands_; ++b) {
     dev.write_word(rear_of(b), rear[b]);
   }
   resident_ = tokens.size();
+  emit(dev, {.step = simt::QueueStep::kSeed,
+             .count = tokens.size(),
+             .tickets = tickets.data(),
+             .payloads = tokens.data(),
+             .space = this});
 }
 
 }  // namespace scq

@@ -89,8 +89,6 @@ class BucketedMultiQueue final : public DeviceQueue {
 
  protected:
   [[nodiscard]] SlotRef slot_of(std::uint64_t ticket) const override;
-  [[nodiscard]] std::uint64_t ticket_of(std::uint64_t slot,
-                                        std::uint64_t epoch) const override;
   [[nodiscard]] std::uint64_t progress_signature(simt::Device& dev) const override;
 
  private:

@@ -5,22 +5,10 @@
 #include <string>
 
 #include "core/counters.h"
-#include "core/task_probes.h"
 
 namespace scq {
 
 namespace {
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
 
 constexpr std::uint64_t kNoBound = ~std::uint64_t{0};
 
@@ -77,21 +65,6 @@ void seed_device_queue(simt::Device& dev, const QueueLayout& q,
     dev.write_word(q.slot_addr(i), slot_full_word(0, tokens[i]));
   }
   dev.write_word(q.rear_addr(), tokens.size());
-  if (simt::OpHistory* hist = dev.op_history()) {
-    // Seed tokens occupy tickets 0..n-1 of epoch 0.
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      hist->record({simt::QueueOp::kEnqueueReserve, simt::kHostActor, i,
-                    i, 0, tokens[i], dev.now()});
-      hist->record({simt::QueueOp::kEnqueueWrite, simt::kHostActor, i,
-                    i, 0, tokens[i], dev.now()});
-    }
-  }
-  if (simt::FlightRecorder* rec = dev.flight_recorder()) {
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      rec->record({simt::FlightKind::kWrite, simt::kHostActor, 0, i,
-                   tokens[i], 0, dev.now()});
-    }
-  }
 }
 
 // ---- Shared dequeue phase 2: data arrival (paper Listing 2) ----
@@ -131,53 +104,28 @@ Kernel<LaneMask> DeviceQueue::check_arrival(Wave& w, WaveQueueState& st,
         slot_epoch_tag(values[lane]) == (st.epoch[lane] & kEpochTagMask)) {
       arrived |= bit(lane);
       tokens[lane] = slot_payload(values[lane]);
-      st.deliver_ticket[lane] =
-          traceable ? ticket_of(st.slot[lane], st.epoch[lane]) : kNoTask;
+      st.deliver_ticket[lane] = traceable ? st.ticket[lane] : kNoTask;
     }
   });
   const unsigned missed = static_cast<unsigned>(std::popcount(st.assigned & ~arrived));
   if (missed) w.bump(kPolls, missed);
-  if (simt::OpHistory* hist = history_sink(w)) {
-    for_lanes(arrived, [&](unsigned lane) {
-      const std::uint64_t ticket = ticket_of(st.slot[lane], st.epoch[lane]);
-      hist->record({simt::QueueOp::kDequeueDeliver, w.slot_id(), ticket,
-                    st.slot[lane], st.epoch[lane], tokens[lane], w.now(),
-                    band_of(ticket)});
-    });
-  }
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // A claim becomes a *wait* on its first missed poll: record the full
-    // event once so the recorder's monitor table picks it up (`since` =
-    // first miss). The claim itself was only ring-logged by the acquire
-    // path. Deliveries of waited tickets record fully (retiring the
-    // monitor entry); healthy deliveries take the coalescing fast path.
-    const LaneMask fresh_miss = st.assigned & ~arrived & ~st.miss_noted;
-    for_lanes(fresh_miss, [&](unsigned lane) {
-      const std::uint64_t ticket = ticket_of(st.slot[lane], st.epoch[lane]);
-      rec->record({simt::FlightKind::kClaim, w.slot_id(), 0, ticket, 0,
-                   band_of(ticket), w.now()});
-    });
+  // A claim becomes a *wait* on its first missed poll; its delivery is
+  // then marked `waited` (the recorder retires the monitor entry).
+  if (const LaneMask fresh_miss = st.assigned & ~arrived & ~st.miss_noted) {
+    emit(w, {.step = simt::QueueStep::kClaimWait,
+             .lanes = fresh_miss,
+             .tickets = st.ticket.data(),
+             .space = this});
     st.miss_noted |= fresh_miss;
-    if (const LaneMask healthy = arrived & ~st.miss_noted) {
-      // Never-missed deliveries: one batched ring event for the wave.
-      const unsigned lane0 = static_cast<unsigned>(std::countr_zero(healthy));
-      const std::uint64_t t0 = ticket_of(st.slot[lane0], st.epoch[lane0]);
-      rec->log_steps(simt::FlightKind::kDeliver, w.slot_id(), 0, t0,
-                     band_of(t0), w.now(),
-                     static_cast<std::uint32_t>(std::popcount(healthy)));
-    }
-    for_lanes(arrived & st.miss_noted, [&](unsigned lane) {
-      const std::uint64_t ticket = ticket_of(st.slot[lane], st.epoch[lane]);
-      rec->record({simt::FlightKind::kDeliver, w.slot_id(), 0, ticket,
-                   tokens[lane], band_of(ticket), w.now()});
-    });
-    st.miss_noted &= ~arrived;
   }
-  if (task_sink(w) != nullptr && traceable) {
-    for_lanes(arrived, [&](unsigned lane) {
-      trace_task(w, simt::TaskPhase::kArrival, st.deliver_ticket[lane],
-                 tokens[lane]);
-    });
+  if (arrived) {
+    emit(w, {.step = simt::QueueStep::kDeliver,
+             .lanes = arrived,
+             .waited = st.miss_noted,
+             .tickets = st.ticket.data(),
+             .payloads = tokens.data(),
+             .space = this});
+    st.miss_noted &= ~arrived;
   }
   if (simt::Telemetry* probes = probe_sink(w); probes && arrived) {
     // Slot-monitor wait: slot assignment to the sentinel clearing. The
@@ -210,7 +158,19 @@ Kernel<LaneMask> DeviceQueue::check_arrival(Wave& w, WaveQueueState& st,
 void DeviceQueue::seed(simt::Device& dev, std::span<const std::uint64_t> tokens) {
   seed_device_queue(dev, layout_, tokens);
   resident_ = tokens.size();
-  trace_seed_tasks(dev, *this, tokens);
+  // Seed tokens occupy tickets 0..n-1 of epoch 0.
+  emit(dev, {.step = simt::QueueStep::kSeed,
+             .count = tokens.size(),
+             .payloads = tokens.data(),
+             .space = this});
+}
+
+Kernel<void> DeviceQueue::report_complete(Wave& w, std::uint32_t count) {
+  if (count == 0) co_return;
+  co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
+  w.bump(kQueueAtomics);
+  co_await w.atomic_add(layout_.completed_addr(), count);
+  emit(w, {.step = simt::QueueStep::kComplete, .count = count});
 }
 
 Kernel<void> DeviceQueue::report_complete_tickets(
@@ -288,27 +248,27 @@ void DeviceQueue::park(Wave& w, WaveQueueState& st, std::uint64_t ticket,
         "device queue: parked-token overflow — the driver must gate "
         "production while publishes are backpressured");
   }
-  st.parked[st.n_parked++] = {ticket, token, w.now(), false, parent};
-  if (simt::OpHistory* hist = history_sink(w)) {
-    const SlotRef ref = slot_of(ticket);
-    hist->record({simt::QueueOp::kEnqueueReserve, w.slot_id(), ticket,
-                  ref.index, ref.epoch, token, w.now(), band_of(ticket)});
-  }
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // Ring log only: a fresh reservation is not yet a wait. The parked
-    // wait-table entry is recorded by stall_note() the first time this
-    // ticket survives a failed flush round.
-    rec->log_step(simt::FlightKind::kReserve, w.slot_id(), 0, ticket,
-                  band_of(ticket), w.now());
-  }
-  // The reservation is where a task's trace id is born: stamp it with
-  // the parent edge from the spawning task.
-  if (traceable_tickets()) {
-    trace_task(w, simt::TaskPhase::kReserve, ticket, token, parent);
-  }
+  const std::uint32_t i = st.n_parked++;
+  st.parked.ticket[i] = ticket;
+  st.parked.token[i] = token;
+  st.parked.parent[i] = parent;
+  st.parked.since[i] = w.now();
   // Host-side spawn observer (the src/tasks engine's depth/credit
   // bookkeeping hooks in here): same birth instant, no simulated cost.
   if (st.on_reserve != nullptr) (*st.on_reserve)(ticket, token, parent);
+}
+
+void DeviceQueue::emit_reserved(Wave& w, const WaveQueueState& st,
+                                std::uint32_t from) {
+  if (st.n_parked == from) return;
+  // The reservation is where a task's trace id is born: the event
+  // carries the parent edge from the spawning task.
+  emit(w, {.step = simt::QueueStep::kReserve,
+           .count = st.n_parked - from,
+           .tickets = st.parked.ticket.data() + from,
+           .payloads = st.parked.token.data() + from,
+           .parents = st.parked.parent.data() + from,
+           .space = this});
 }
 
 bool DeviceQueue::stall_note(Wave& w, WaveQueueState& st, bool wrote_any) {
@@ -316,20 +276,17 @@ bool DeviceQueue::stall_note(Wave& w, WaveQueueState& st, bool wrote_any) {
     st.stall_rounds = 0;
     return false;
   }
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // A reservation becomes a *wait* the first round it fails to flush:
-    // record the full event so the recorder's parked table picks it up
-    // (park() itself only ring-logged it). `since` is the first stalled
-    // round — exactly the quantity a deadlock post-mortem wants.
-    for (std::uint32_t i = 0; i < st.n_parked; ++i) {
-      if (!st.parked[i].stalled) {
-        rec->record({simt::FlightKind::kReserve, w.slot_id(), 0,
-                     st.parked[i].ticket, st.parked[i].token,
-                     band_of(st.parked[i].ticket), w.now()});
-      }
-    }
+  // A reservation becomes a *wait* the first round it fails to flush
+  // (the recorder's parked table starts at this round — exactly the
+  // `since` a deadlock post-mortem wants).
+  if (st.n_stalled < st.n_parked) {
+    emit(w, {.step = simt::QueueStep::kReserveStall,
+             .count = st.n_parked - st.n_stalled,
+             .tickets = st.parked.ticket.data() + st.n_stalled,
+             .payloads = st.parked.token.data() + st.n_stalled,
+             .space = this});
+    st.n_stalled = st.n_parked;
   }
-  for (std::uint32_t i = 0; i < st.n_parked; ++i) st.parked[i].stalled = true;
   w.bump(kPublishStalls, st.n_parked);
 
   const std::uint64_t sig = progress_signature(w.device());
@@ -367,11 +324,11 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
     std::array<Addr, kWaveWidth> addrs{};
     std::array<std::uint64_t, kWaveWidth> want{}, full{};
     for (std::uint32_t i = 0; i < n; ++i) {
-      const SlotRef ref = slot_of(st.parked[i].ticket);
+      const SlotRef ref = slot_of(st.parked.ticket[i]);
       mask |= bit(i);
       addrs[i] = layout_.slots.base + ref.index;
       want[i] = slot_empty_word(ref.epoch);
-      full[i] = slot_full_word(ref.epoch, st.parked[i].token);
+      full[i] = slot_full_word(ref.epoch, st.parked.token[i]);
     }
     std::array<std::uint64_t, kWaveWidth> cur{};
     co_await w.load_lanes(mask, addrs, cur);
@@ -382,72 +339,37 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
     }
     if (!writable) break;
 
-    if (simt::OpHistory* hist = history_sink(w)) {
-      // Recorded in the same event-processing slice as the stores below,
-      // so the write records land before any matching deliver record.
-      for_lanes(writable, [&](unsigned i) {
-        const SlotRef ref = slot_of(st.parked[i].ticket);
-        hist->record({simt::QueueOp::kEnqueueWrite, w.slot_id(),
-                      st.parked[i].ticket, ref.index, ref.epoch,
-                      st.parked[i].token, w.now(),
-                      band_of(st.parked[i].ticket)});
-      });
-    }
-    if (task_sink(w) != nullptr && traceable_tickets()) {
-      for_lanes(writable, [&](unsigned i) {
-        trace_task(w, simt::TaskPhase::kPayloadWrite, st.parked[i].ticket,
-                   st.parked[i].token);
-      });
-    }
-    if (simt::FlightRecorder* rec = recorder_sink(w)) {
-      // Stalled entries form a prefix of the parked array (stall_note
-      // marks every current entry; fresh parks append unmarked, and
-      // compaction preserves order). Those are in the recorder's parked
-      // wait table and need a full record to retire their entry; the
-      // never-stalled suffix takes one batched ring event.
-      LaneMask waited = 0;
-      for (std::uint32_t i = 0; i < n && st.parked[i].stalled; ++i) {
-        waited |= bit(i);
-      }
-      for_lanes(writable & waited, [&](unsigned i) {
-        rec->record({simt::FlightKind::kWrite, w.slot_id(), 0,
-                     st.parked[i].ticket, st.parked[i].token,
-                     band_of(st.parked[i].ticket), w.now()});
-      });
-      if (const LaneMask healthy = writable & ~waited) {
-        const unsigned i0 = static_cast<unsigned>(std::countr_zero(healthy));
-        rec->log_steps(simt::FlightKind::kWrite, w.slot_id(), 0,
-                       st.parked[i0].ticket, band_of(st.parked[i0].ticket),
-                       w.now(),
-                       static_cast<std::uint32_t>(std::popcount(healthy)));
-      }
-    }
+    // Emitted in the same event-processing slice as the stores below,
+    // so the write records land before any matching deliver record. The
+    // stalled prefix is `waited`: those tickets sit in the recorder's
+    // parked wait table.
+    const LaneMask stalled = lowest_lanes(simt::kAllLanes, st.n_stalled);
+    emit(w, {.step = simt::QueueStep::kWrite,
+             .lanes = writable,
+             .waited = stalled,
+             .tickets = st.parked.ticket.data(),
+             .payloads = st.parked.token.data(),
+             .space = this});
     resident_ += static_cast<std::uint64_t>(std::popcount(writable));
     co_await w.store_lanes(writable, addrs, full);
     w.bump(kTokensEnqueued, static_cast<std::uint64_t>(std::popcount(writable)));
     if (probes) {
       simt::Histogram& h = probes->histogram(tel::kPublishStall);
       const bool banded = num_bands() > 1;
-      for_lanes(writable, [&](unsigned i) {
-        if (st.parked[i].stalled) {
-          const simt::Cycle stalled = w.now() - st.parked[i].since;
-          h.add(stalled);
-          probes->window_add(tel::kPublishStall, stalled);
-          if (banded) {
-            probes->window_add(tel::kBandStallPrefix +
-                                   std::to_string(band_of(st.parked[i].ticket)),
-                               stalled);
-          }
+      for_lanes(writable & stalled, [&](unsigned i) {
+        const simt::Cycle waited = w.now() - st.parked.since[i];
+        h.add(waited);
+        probes->window_add(tel::kPublishStall, waited);
+        if (banded) {
+          probes->window_add(tel::kBandStallPrefix +
+                                 std::to_string(band_of(st.parked.ticket[i])),
+                             waited);
         }
       });
     }
 
-    std::uint32_t out = 0;
-    for (std::uint32_t i = 0; i < st.n_parked; ++i) {
-      if (i < n && (writable & bit(i))) continue;
-      st.parked[out++] = st.parked[i];
-    }
-    st.n_parked = out;
+    st.remove_parked(
+        [&](std::uint32_t i) { return i < n && (writable & bit(i)) != 0; });
     wrote_any = true;
     if (st.n_parked == 0) break;
   }
@@ -473,28 +395,8 @@ Kernel<void> RfanQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   w.bump(kQueueAtomics);
   const simt::CasResult r = co_await w.atomic_add(layout_.front_addr(), n);
 
-  simt::OpHistory* hist = history_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // One AFA claimed n contiguous tickets: one batched ring event.
-    rec->log_steps(simt::FlightKind::kClaim, w.slot_id(), 0, r.old_value, 0,
-                   w.now(), n);
-  }
-  unsigned k = 0;
-  for_lanes(st.hungry, [&](unsigned lane) {
-    const std::uint64_t ticket = r.old_value + k++;
-    const SlotRef ref = slot_of(ticket);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), ticket,
-                    ref.index, ref.epoch, 0, w.now()});
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, ticket);
-  });
-  st.assigned |= st.hungry;
-  st.hungry = 0;
+  std::uint64_t ticket = r.old_value;
+  claim_lanes(w, st, st.hungry, [&](unsigned) { return ticket++; });
   co_await w.compute(2);  // ticket -> (slot, epoch) conversion
 
   if (simt::Telemetry* probes = probe_sink(w)) {
@@ -520,29 +422,13 @@ Kernel<void> RfanQueue::publish(Wave& w, WaveQueueState& st) {
     const simt::CasResult r = co_await w.atomic_add(layout_.rear_addr(), total);
 
     std::uint64_t ticket = r.old_value;
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
-      for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
-        park(w, st, ticket++, st.new_tokens[lane][t], st.new_parents[lane][t]);
-      }
-    }
-    st.clear_produce();
+    park_new(w, st, [&](std::uint64_t) { return ticket++; });
     if (probes) probes->histogram(tel::kAggWidthEnqueue).add(total);
   }
 
   co_await flush_parked(w, st);
   if (probes && total > 0) {
     probes->histogram(tel::kEnqueueLatency).add(w.now() - t0);
-  }
-}
-
-Kernel<void> RfanQueue::report_complete(Wave& w, std::uint32_t count) {
-  if (count == 0) co_return;
-  co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
-  w.bump(kQueueAtomics);
-  co_await w.atomic_add(layout_.completed_addr(), count);
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    rec->record(
-        {simt::FlightKind::kComplete, w.slot_id(), 0, 0, count, 0, w.now()});
   }
 }
 
@@ -589,33 +475,9 @@ Kernel<void> AnQueue::acquire_slots(Wave& w, WaveQueueState& st) {
     w.bump(kEmptyRetries, n);
     co_return;
   }
-  simt::OpHistory* hist = history_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // The capped CAS claimed `claimed` contiguous tickets: one batch.
-    rec->log_steps(simt::FlightKind::kClaim, w.slot_id(), 0, r.old_value, 0,
-                   w.now(), static_cast<std::uint32_t>(claimed));
-  }
   std::uint64_t ticket = r.old_value;
-  std::uint64_t left = claimed;
-  LaneMask served = 0;
-  for_lanes(st.hungry, [&](unsigned lane) {
-    if (left == 0) return;
-    const std::uint64_t t = ticket++;
-    const SlotRef ref = slot_of(t);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), t, ref.index,
-                    ref.epoch, 0, w.now()});
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, t);
-    served |= bit(lane);
-    --left;
-  });
-  st.assigned |= served;
-  st.hungry &= ~served;
+  claim_lanes(w, st, lowest_lanes(st.hungry, claimed),
+              [&](unsigned) { return ticket++; });
   if (probes) {
     probes->histogram(tel::kAggWidthDequeue).add(claimed);
     probes->histogram(tel::kDequeueLatency).add(w.now() - t0);
@@ -650,29 +512,13 @@ Kernel<void> AnQueue::publish(Wave& w, WaveQueueState& st) {
     if (probes) probes->histogram(tel::kCasRetryRun).add(r.retries + drift);
 
     std::uint64_t ticket = r.old_value;
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
-      for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
-        park(w, st, ticket++, st.new_tokens[lane][t], st.new_parents[lane][t]);
-      }
-    }
-    st.clear_produce();
+    park_new(w, st, [&](std::uint64_t) { return ticket++; });
     if (probes) probes->histogram(tel::kAggWidthEnqueue).add(total);
   }
 
   co_await flush_parked(w, st);
   if (probes && total > 0) {
     probes->histogram(tel::kEnqueueLatency).add(w.now() - t0);
-  }
-}
-
-Kernel<void> AnQueue::report_complete(Wave& w, std::uint32_t count) {
-  if (count == 0) co_return;
-  co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
-  w.bump(kQueueAtomics);
-  co_await w.atomic_add(layout_.completed_addr(), count);
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    rec->record(
-        {simt::FlightKind::kComplete, w.slot_id(), 0, 0, count, 0, w.now()});
   }
 }
 
@@ -736,24 +582,7 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   w.bump(kEmptyRetries,
          static_cast<std::uint64_t>(std::popcount(trying & ~claimed)));
 
-  simt::OpHistory* hist = history_sink(w);
-  simt::FlightRecorder* rec = recorder_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  for_lanes(claimed, [&](unsigned lane) {
-    const SlotRef ref = slot_of(old[lane]);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), old[lane],
-                    ref.index, ref.epoch, 0, w.now()});
-    }
-    if (rec) {
-      rec->log_step(simt::FlightKind::kClaim, w.slot_id(), 0, old[lane], 0,
-                    w.now());
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, old[lane]);
-  });
+  claim_lanes(w, st, claimed, [&](unsigned lane) { return old[lane]; });
   if (probes && claimed) {
     probes->histogram(tel::kDequeueLatency).add(w.now() - t0);
   }
@@ -771,8 +600,6 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
       st.backoff_exp[lane] = 0;
     }
   });
-  st.assigned |= claimed;
-  st.hungry &= ~claimed;
 }
 
 Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
@@ -812,11 +639,13 @@ Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
     w.bump(kQueueAtomics, attempts);
     w.bump(kQueueCasFailures, failures);
 
+    const std::uint32_t from = st.n_parked;
     for_lanes(pending, [&](unsigned lane) {
       park(w, st, old[lane], st.new_tokens[lane][cursor[lane]],
            st.new_parents[lane][cursor[lane]]);
       if (++cursor[lane] == st.n_new[lane]) pending &= ~bit(lane);
     });
+    emit_reserved(w, st, from);
   }
   st.clear_produce();
 
@@ -843,10 +672,7 @@ Kernel<void> BaseQueue::report_complete(Wave& w, std::uint32_t count) {
   if (count > kWaveWidth) ones[0] += count - kWaveWidth;
   w.bump(kQueueAtomics, lanes);
   co_await w.atomic_lanes(simt::AtomicKind::kAdd, mask, addrs, ones);
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    rec->record(
-        {simt::FlightKind::kComplete, w.slot_id(), 0, 0, count, 0, w.now()});
-  }
+  emit(w, {.step = simt::QueueStep::kComplete, .count = count});
 }
 
 std::unique_ptr<DeviceQueue> make_queue_variant(QueueVariant variant,

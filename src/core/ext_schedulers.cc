@@ -5,22 +5,10 @@
 
 #include "core/bucketed_queue.h"
 #include "core/counters.h"
-#include "core/task_probes.h"
 
 namespace scq {
 
 namespace {
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
 
 constexpr int kMaxLockRounds = 1 << 20;
 
@@ -120,7 +108,7 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
     for (std::uint32_t i = 0; i < chunk; ++i) {
       mask |= bit(i);
       addrs[i] = layout_.slots.base + index++;
-      vals[i] = slot_full_word(0, st.parked[base + i].token);
+      vals[i] = slot_full_word(0, st.parked.token[base + i]);
     }
     co_await w.store_lanes(mask, addrs, vals);
   }
@@ -128,19 +116,13 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
     w.bump(kTokensEnqueued, flush);
     if (probes) {
       simt::Histogram& h = probes->histogram(tel::kPublishStall);
-      for (std::uint32_t i = 0; i < flush; ++i) {
-        if (st.parked[i].stalled) {
-          const simt::Cycle stalled = w.now() - st.parked[i].since;
-          h.add(stalled);
-          probes->window_add(tel::kPublishStall, stalled);
-        }
+      for (std::uint32_t i = 0; i < flush && i < st.n_stalled; ++i) {
+        const simt::Cycle stalled = w.now() - st.parked.since[i];
+        h.add(stalled);
+        probes->window_add(tel::kPublishStall, stalled);
       }
     }
-    std::uint32_t out = 0;
-    for (std::uint32_t i = flush; i < st.n_parked; ++i) {
-      st.parked[out++] = st.parked[i];
-    }
-    st.n_parked = out;
+    st.remove_parked([flush](std::uint32_t i) { return i < flush; });
     space -= flush;
     wrote_any = true;
   }
@@ -152,6 +134,7 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
     std::array<Addr, kWaveWidth> addrs{};
     std::array<std::uint64_t, kWaveWidth> vals{};
     unsigned chunk = 0;
+    const std::uint32_t from = st.n_parked;
     for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
         if (written < write_new) {
@@ -169,6 +152,7 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
         }
       }
     }
+    emit_reserved(w, st, from);
     if (mask) co_await w.store_lanes(mask, addrs, vals);
     if (written > 0) {
       w.bump(kTokensEnqueued, written);
@@ -183,13 +167,6 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
   if (stall_note(w, st, wrote_any)) {
     co_await w.abort_kernel(kPublishDeadlockMessage);
   }
-}
-
-Kernel<void> LockedStack::report_complete(Wave& w, std::uint32_t count) {
-  if (count == 0) co_return;
-  co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
-  w.bump(kQueueAtomics);
-  co_await w.atomic_add(layout_.completed_addr(), count);
 }
 
 void LockedStack::seed(simt::Device& dev, std::span<const std::uint64_t> tokens) {
@@ -271,34 +248,9 @@ Kernel<std::uint64_t> DistributedQueue::claim_from(Wave& w, WaveQueueState& st,
       n, snap[1] > r.old_value ? snap[1] - r.old_value : 0);
   if (claimed == 0) co_return std::uint64_t{0};
 
-  simt::OpHistory* hist = history_sink(w);
-  const bool tasks = task_sink(w) != nullptr;
-  if (simt::FlightRecorder* rec = recorder_sink(w)) {
-    // The bounded add claimed `claimed` contiguous tickets: one batch.
-    rec->log_steps(simt::FlightKind::kClaim, w.slot_id(), 0,
-                   encode_ticket(q, r.old_value), 0, w.now(),
-                   static_cast<std::uint32_t>(claimed));
-  }
   std::uint64_t local = r.old_value;
-  std::uint64_t left = claimed;
-  LaneMask served = 0;
-  for_lanes(st.hungry, [&](unsigned lane) {
-    if (left == 0) return;
-    const std::uint64_t ticket = encode_ticket(q, local++);
-    const SlotRef ref = slot_of(ticket);
-    st.slot[lane] = ref.index;
-    st.epoch[lane] = ref.epoch;
-    st.assign_cycle[lane] = w.now();
-    if (hist) {
-      hist->record({simt::QueueOp::kDequeueClaim, w.slot_id(), ticket,
-                    ref.index, ref.epoch, 0, w.now()});
-    }
-    if (tasks) trace_task(w, simt::TaskPhase::kClaim, ticket);
-    served |= bit(lane);
-    --left;
-  });
-  st.assigned |= served;
-  st.hungry &= ~served;
+  claim_lanes(w, st, lowest_lanes(st.hungry, claimed),
+              [&](unsigned) { return encode_ticket(q, local++); });
   co_return claimed;
 }
 
@@ -338,13 +290,8 @@ Kernel<void> DistributedQueue::publish(Wave& w, WaveQueueState& st) {
     const simt::CasResult r = co_await w.atomic_add(rear_of(own), total);
 
     std::uint64_t local = r.old_value;
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
-      for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
-        park(w, st, encode_ticket(own, local++), st.new_tokens[lane][t],
-             st.new_parents[lane][t]);
-      }
-    }
-    st.clear_produce();
+    park_new(w, st,
+             [&](std::uint64_t) { return encode_ticket(own, local++); });
   }
 
   co_await flush_parked(w, st);
@@ -355,6 +302,7 @@ Kernel<void> DistributedQueue::report_complete(Wave& w, std::uint32_t count) {
   co_await w.lds_ops(std::min<std::uint32_t>(count, kWaveWidth) + 1);
   w.bump(kQueueAtomics);
   co_await w.atomic_add(completed_of(), count);
+  emit(w, {.step = simt::QueueStep::kComplete, .count = count});
 }
 
 Kernel<bool> DistributedQueue::all_done(Wave& w) {
@@ -389,9 +337,11 @@ void DistributedQueue::seed(simt::Device& dev,
   }
   dev.write_word(rear_of(0), tokens.size());
   resident_ = tokens.size();
-  // Sub-queue 0, local tickets 0..n-1: encode_ticket(0, i) == i, so the
-  // shared seed tracer's plain indices are already correct.
-  trace_seed_tasks(dev, *this, tokens);
+  // Sub-queue 0, local tickets 0..n-1: encode_ticket(0, i) == i.
+  emit(dev, {.step = simt::QueueStep::kSeed,
+             .count = tokens.size(),
+             .payloads = tokens.data(),
+             .space = this});
 }
 
 // ---------------------------------------------------------------------

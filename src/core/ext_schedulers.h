@@ -39,7 +39,6 @@ class LockedStack final : public DeviceQueue {
   [[nodiscard]] bool traceable_tickets() const override { return false; }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
   Kernel<void> publish(Wave& w, WaveQueueState& st) override;
-  Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
   void seed(simt::Device& dev, std::span<const std::uint64_t> tokens) override;
   [[nodiscard]] std::uint64_t occupancy(const simt::Device& dev) const override {
     return dev.read_word(top_addr());  // LIFO: Top == resident tokens
@@ -96,12 +95,6 @@ class DistributedQueue final : public DeviceQueue {
     const std::uint64_t q = ticket >> kTokenBits;
     const std::uint64_t local = ticket & kMaxToken;
     return {q * per_queue_ + local % per_queue_, local / per_queue_};
-  }
-  [[nodiscard]] std::uint64_t ticket_of(std::uint64_t slot,
-                                        std::uint64_t epoch) const override {
-    const std::uint64_t q = slot / per_queue_;
-    return encode_ticket(static_cast<std::uint32_t>(q),
-                         epoch * per_queue_ + slot % per_queue_);
   }
   [[nodiscard]] std::uint64_t progress_signature(simt::Device& dev) const override;
 

@@ -35,8 +35,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "sim/op_history.h"
-#include "sim/task_trace.h"
+#include "sim/queue_event.h"
 
 namespace scq {
 
@@ -92,7 +91,8 @@ class HostBrokerQueue {
   // Capacity is rounded up to a power of two (minimum 2).
   explicit HostBrokerQueue(std::size_t capacity)
       : mask_(std::bit_ceil(std::max<std::size_t>(capacity, 2)) - 1),
-        slots_(mask_ + 1) {
+        slots_(mask_ + 1),
+        tickets_(mask_ + 1) {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       slots_[i].seq.store(i, std::memory_order_relaxed);
     }
@@ -111,20 +111,22 @@ class HostBrokerQueue {
     return t > h ? static_cast<std::size_t>(t - h) : 0;
   }
 
-  // Optional operation-history recording for the fuzz checker (not
-  // owned; nullptr disables). Tickets are sequence numbers; payloads are
-  // recorded when T converts to uint64. Write records precede the
-  // release-store that publishes them and deliver records precede the
-  // recycle store, so the history's (mutex-total) append order is
-  // consistent with the happens-before order of the protocol.
-  void attach_history(simt::OpHistory* history) noexcept { history_ = history; }
-
-  // Optional per-task lifecycle recording (not owned; nullptr disables).
-  // Tickets are sequence numbers; the host has no simulated clock, so
-  // event cycles are steady-clock nanoseconds since this attach — fine
-  // for attribution ratios, not comparable across processes.
+  // Queue-event consumers (sim/queue_event.h; not owned, nullptr
+  // detaches), the same sink set a simulated device has. Tickets are
+  // sequence numbers; payloads are recorded when T converts to uint64.
+  // Write events precede the release-store that publishes them and
+  // deliver events precede the recycle store, so the operation
+  // history's (mutex-total) append order is consistent with the
+  // happens-before order of the protocol — the fuzz checker relies on
+  // it. The host has no simulated clock: while a task trace is attached
+  // every event is stamped with steady-clock nanoseconds since that
+  // attach (fine for attribution ratios, not comparable across
+  // processes), otherwise with 0.
+  void attach_history(simt::OpHistory* history) noexcept {
+    sinks_.history = history;
+  }
   void attach_task_trace(simt::TaskTrace* trace) noexcept {
-    task_trace_ = trace;
+    sinks_.trace = trace;
     task_epoch_ = std::chrono::steady_clock::now();
   }
 
@@ -149,8 +151,7 @@ class HostBrokerQueue {
     const std::uint64_t first =
         tail_.fetch_add(items.size(), std::memory_order_relaxed);
     for (std::size_t i = 0; i < items.size(); ++i) {
-      record_op(simt::QueueOp::kEnqueueReserve, first + i,
-                history_payload(items[i]));
+      emit(simt::QueueStep::kReserve, first + i, history_payload(items[i]));
     }
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (!publish_one(first + i, items[i])) {
@@ -172,9 +173,7 @@ class HostBrokerQueue {
     if (out.empty()) return true;
     const std::uint64_t first =
         head_.fetch_add(out.size(), std::memory_order_relaxed);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      record_op(simt::QueueOp::kDequeueClaim, first + i, 0);
-    }
+    emit(simt::QueueStep::kClaim, first, 0, out.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
       if (!consume_one(first + i, out[i])) return false;
     }
@@ -209,9 +208,7 @@ class HostBrokerQueue {
   [[nodiscard]] Ticket claim_slots(std::uint32_t count) {
     const std::uint64_t first =
         head_.fetch_add(count, std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      record_op(simt::QueueOp::kDequeueClaim, first + i, 0);
-    }
+    emit(simt::QueueStep::kClaim, first, 0, count);
     return Ticket{first, count, 0};
   }
 
@@ -231,8 +228,7 @@ class HostBrokerQueue {
       }
       if (seq != seq_no + 1) break;
       out[got] = std::move(slot.value);
-      record_op(simt::QueueOp::kDequeueDeliver, seq_no,
-                history_payload(out[got]));
+      emit(simt::QueueStep::kDeliver, seq_no, history_payload(out[got]));
       ++got;
       slot.seq.store(seq_no + capacity(), std::memory_order_release);
       ++ticket.consumed;
@@ -252,9 +248,9 @@ class HostBrokerQueue {
       const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
       if (seq == t) {
         if (tail_.compare_exchange_weak(t, t + 1, std::memory_order_relaxed)) {
-          record_op(simt::QueueOp::kEnqueueReserve, t, history_payload(item));
+          emit(simt::QueueStep::kReserve, t, history_payload(item));
           slot.value = item;
-          record_op(simt::QueueOp::kEnqueueWrite, t, history_payload(item));
+          emit(simt::QueueStep::kWrite, t, history_payload(item));
           slot.seq.store(t + 1, std::memory_order_release);
           return true;
         }
@@ -274,9 +270,9 @@ class HostBrokerQueue {
       const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
       if (seq == h + 1) {
         if (head_.compare_exchange_weak(h, h + 1, std::memory_order_relaxed)) {
-          record_op(simt::QueueOp::kDequeueClaim, h, 0);
+          emit(simt::QueueStep::kClaim, h, 0);
           T value = std::move(slot.value);
-          record_op(simt::QueueOp::kDequeueDeliver, h, history_payload(value));
+          emit(simt::QueueStep::kDeliver, h, history_payload(value));
           slot.seq.store(h + capacity(), std::memory_order_release);
           return value;
         }
@@ -302,7 +298,7 @@ class HostBrokerQueue {
       backoff.pause();
     }
     slot.value = item;
-    record_op(simt::QueueOp::kEnqueueWrite, seq_no, history_payload(item));
+    emit(simt::QueueStep::kWrite, seq_no, history_payload(item));
     slot.seq.store(seq_no + 1, std::memory_order_release);
     return true;
   }
@@ -321,7 +317,7 @@ class HostBrokerQueue {
       backoff.pause();
     }
     out = std::move(slot.value);
-    record_op(simt::QueueOp::kDequeueDeliver, seq_no, history_payload(out));
+    emit(simt::QueueStep::kDeliver, seq_no, history_payload(out));
     slot.seq.store(seq_no + capacity(), std::memory_order_release);
     return true;
   }
@@ -334,33 +330,23 @@ class HostBrokerQueue {
     }
   }
 
-  static constexpr simt::TaskPhase task_phase_of(simt::QueueOp op) noexcept {
-    switch (op) {
-      case simt::QueueOp::kEnqueueReserve:
-        return simt::TaskPhase::kReserve;
-      case simt::QueueOp::kEnqueueWrite:
-        return simt::TaskPhase::kPayloadWrite;
-      case simt::QueueOp::kDequeueClaim:
-        return simt::TaskPhase::kClaim;
-      case simt::QueueOp::kDequeueDeliver:
-      default:
-        return simt::TaskPhase::kArrival;
+  // One queue event for tickets [first, first + count); a single ticket
+  // carries `payload`, a claim batch none.
+  void emit(simt::QueueStep step, std::uint64_t first, std::uint64_t payload,
+            std::uint64_t count = 1) const {
+    if (!sinks_.any()) return;
+    simt::QueueEvent e{.step = step,
+                       .ticket = first,
+                       .count = count,
+                       .payloads = count == 1 ? &payload : nullptr,
+                       .space = &tickets_};
+    if (sinks_.trace != nullptr) {
+      e.cycle = static_cast<simt::Cycle>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - task_epoch_)
+              .count());
     }
-  }
-
-  void record_op(simt::QueueOp op, std::uint64_t seq_no,
-                 std::uint64_t payload) const {
-    if (history_ != nullptr) {
-      history_->record({op, simt::kHostActor, seq_no, seq_no & mask_,
-                        seq_no / capacity(), payload, 0});
-    }
-    if (task_trace_ != nullptr) {
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - task_epoch_);
-      task_trace_->record({task_phase_of(op), seq_no, simt::kNoTask, payload,
-                           simt::kHostActor, 0,
-                           static_cast<simt::Cycle>(ns.count())});
-    }
+    sinks_.emit(e);
   }
 
   // Called by a close()-interrupted enqueue_batch for its unpublished
@@ -381,8 +367,8 @@ class HostBrokerQueue {
 
   const std::uint64_t mask_;
   std::vector<Slot> slots_;
-  simt::OpHistory* history_ = nullptr;
-  simt::TaskTrace* task_trace_ = nullptr;
+  const simt::RingTickets tickets_;
+  simt::QueueSinks sinks_;
   std::chrono::steady_clock::time_point task_epoch_{};
   alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};

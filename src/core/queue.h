@@ -25,6 +25,12 @@
 // O(total tokens ever enqueued) — and the only remaining abort is a
 // deadlock detector for capacities genuinely too small for the in-flight
 // working set.
+//
+// Observability: every protocol step a queue takes is announced once,
+// per wave batch, through emit() below (the queue-event stream of
+// sim/queue_event.h). The checker's history, the task trace and the
+// flight recorder all consume that one stream; no queue talks to a log
+// directly.
 #pragma once
 
 #include <array>
@@ -44,6 +50,8 @@ using simt::Addr;
 using simt::Kernel;
 using simt::LaneMask;
 using simt::Wave;
+using simt::bit;
+using simt::for_lanes;
 using simt::kNoTask;
 using simt::kWaveWidth;
 
@@ -115,18 +123,29 @@ struct QueueLayout {
 // and never simulated cycles).
 inline simt::Telemetry* probe_sink(Wave& w) { return w.device().telemetry(); }
 
-// Operation-history sink for the fuzz checker: the device's attached
-// OpHistory, or nullptr (recording then costs one branch). Records are
-// appended within the same event-processing slice as the memory effect
-// they describe, so append order is consistent with protocol order.
-inline simt::OpHistory* history_sink(Wave& w) { return w.device().op_history(); }
+// The queue-event stream (sim/queue_event.h): announces one protocol
+// step — a wave's whole batch — to the device's attached consumers,
+// stamping the wave's slot, CU and the device clock. Emitted within the
+// same event-processing slice as the memory effect it describes, so
+// every consumer's append order is protocol-ordered. With nothing
+// attached this is one test.
+inline void emit(Wave& w, simt::QueueEvent e) {
+  const simt::QueueSinks& sinks = w.device().queue_sinks();
+  if (!sinks.any()) return;
+  e.actor = w.slot_id();
+  e.cu = w.cu_id();
+  e.cycle = w.now();
+  sinks.emit(e);
+}
 
-// Flight-recorder sink for black-box dumps: the device's attached
-// FlightRecorder, or nullptr (recording then costs one branch). Fed at
-// the same sites as the operation history, so the recorder's last-N
-// window is protocol-ordered too.
-inline simt::FlightRecorder* recorder_sink(Wave& w) {
-  return w.device().flight_recorder();
+// Host-side steps (seeding, router injections): kHostActor on CU 0.
+inline void emit(simt::Device& dev, simt::QueueEvent e) {
+  const simt::QueueSinks& sinks = dev.queue_sinks();
+  if (!sinks.any()) return;
+  e.actor = simt::kHostActor;
+  e.cu = 0;
+  e.cycle = dev.now();
+  sinks.emit(e);
 }
 
 // Allocates and initializes a device queue (host side, pre-launch §3.1).
@@ -140,9 +159,17 @@ void reset_device_queue(simt::Device& dev, const QueueLayout& q);
 // tokens.size()) and resets the rest of the control block (Front,
 // Completed) plus all remaining slots, so a reused layout cannot carry
 // stale counters into termination detection. Throws SimError when the
-// seed batch exceeds capacity or a token exceeds kMaxToken.
+// seed batch exceeds capacity or a token exceeds kMaxToken. Memory only:
+// DeviceQueue::seed also announces the seeds to the event stream.
 void seed_device_queue(simt::Device& dev, const QueueLayout& q,
                        std::span<const std::uint64_t> tokens);
+
+// The lowest `n` set lanes of `mask` (all of them if it has fewer).
+[[nodiscard]] constexpr LaneMask lowest_lanes(LaneMask mask, std::uint64_t n) {
+  LaneMask out = 0;
+  for (; mask != 0 && n != 0; mask &= mask - 1, --n) out |= mask & -mask;
+  return out;
+}
 
 [[nodiscard]] constexpr std::array<std::uint64_t, kWaveWidth> filled_lanes(
     std::uint64_t v) {
@@ -156,15 +183,16 @@ struct WaveQueueState {
   // Dequeue side.
   LaneMask hungry = 0;    // lanes that want a slot assignment
   LaneMask assigned = 0;  // lanes monitoring a slot for data arrival
-  std::array<std::uint64_t, kWaveWidth> slot{};   // ring slot index per lane
-  std::array<std::uint64_t, kWaveWidth> epoch{};  // expected ring epoch per lane
+  std::array<std::uint64_t, kWaveWidth> ticket{};  // claimed ticket per lane
+  std::array<std::uint64_t, kWaveWidth> slot{};    // its ring slot index
+  std::array<std::uint64_t, kWaveWidth> epoch{};   // its expected ring epoch
   // Cycle at which each lane's slot was assigned (telemetry: the slot-
   // monitor wait histogram measures assignment -> sentinel clearing).
   std::array<simt::Cycle, kWaveWidth> assign_cycle{};
-  // Lanes whose current claim has missed at least one arrival poll and
-  // has therefore been entered into the flight recorder's monitor wait
-  // table (check_arrival records the transition exactly once; delivery
-  // clears the bit after retiring the table entry).
+  // Lanes whose current claim has missed at least one arrival poll:
+  // check_arrival emits the kClaimWait transition exactly once per claim
+  // and marks the lane's delivery as `waited` (which retires the flight
+  // recorder's monitor entry), then clears the bit.
   LaneMask miss_noted = 0;
 
   // Eager delivery: schedulers that read payloads during acquisition
@@ -190,21 +218,41 @@ struct WaveQueueState {
   // Enqueue backpressure (the enqueue-side mirror of the dequeue slot
   // monitor): tokens whose Rear ticket is reserved but whose ring slot
   // has not yet been recycled by the previous epoch's consumer wait
-  // here; publish() retries them on every later work cycle, oldest
-  // ticket first. Bounded because drivers freeze the work phase (no new
+  // here, oldest ticket first; publish() retries them on every later
+  // work cycle. Bounded because drivers freeze the work phase (no new
   // token production) while anything is parked, so at most one work
-  // cycle's batch is ever outstanding.
-  struct Parked {
-    std::uint64_t ticket = 0;  // reserved Rear ticket (scheduler-specific)
-    std::uint64_t token = 0;
-    simt::Cycle since = 0;     // reservation cycle (publish-stall telemetry)
-    bool stalled = false;      // survived at least one failed flush attempt
-    std::uint64_t parent = kNoTask;  // spawning task's trace id
-  };
+  // cycle's batch is ever outstanding. Stored column-wise so a queue
+  // event can point straight at a run of tickets, tokens and parents.
   static constexpr std::uint32_t kMaxParked = kWaveWidth * kMaxWorkBudget;
+  struct Parked {
+    std::array<std::uint64_t, kMaxParked> ticket{};  // reserved Rear ticket
+    std::array<std::uint64_t, kMaxParked> token{};
+    std::array<std::uint64_t, kMaxParked> parent{};  // spawning task's trace id
+    std::array<simt::Cycle, kMaxParked> since{};     // reservation cycle
+  };
   std::uint32_t n_parked = 0;
-  std::array<Parked, kMaxParked> parked{};
+  // Entries [0, n_stalled) survived at least one failed flush attempt.
+  // Stalled entries always form a prefix: stall_note marks every
+  // current entry, fresh parks append, and removal keeps order.
+  std::uint32_t n_stalled = 0;
+  Parked parked{};
   [[nodiscard]] bool has_parked() const { return n_parked != 0; }
+  // Removes the entries i for which drop(i) holds, keeping order.
+  template <typename Drop>
+  void remove_parked(Drop&& drop) {
+    std::uint32_t out = 0, stalled = 0;
+    for (std::uint32_t i = 0; i < n_parked; ++i) {
+      if (drop(i)) continue;
+      if (i < n_stalled) ++stalled;
+      parked.ticket[out] = parked.ticket[i];
+      parked.token[out] = parked.token[i];
+      parked.parent[out] = parked.parent[i];
+      parked.since[out] = parked.since[i];
+      ++out;
+    }
+    n_parked = out;
+    n_stalled = stalled;
+  }
 
   // Deadlock detector state: consecutive fully-stalled publish retries
   // and the device progress signature they were measured against.
@@ -286,10 +334,9 @@ enum class QueueVariant {
 
 // Interface shared by the three variants so driver kernels (BFS) are
 // variant-agnostic.
-class DeviceQueue {
+class DeviceQueue : public simt::TicketSpace {
  public:
   explicit DeviceQueue(QueueLayout layout) : layout_(layout) {}
-  virtual ~DeviceQueue() = default;
   DeviceQueue(const DeviceQueue&) = delete;
   DeviceQueue& operator=(const DeviceQueue&) = delete;
 
@@ -310,8 +357,10 @@ class DeviceQueue {
   // st.has_parked() clears.
   virtual Kernel<void> publish(Wave& w, WaveQueueState& st) = 0;
 
-  // Reports `count` tasks finished (drives termination detection).
-  virtual Kernel<void> report_complete(Wave& w, std::uint32_t count) = 0;
+  // Reports `count` tasks finished (drives termination detection). The
+  // default is the arbitrary-n form: the proxy aggregates the wave's
+  // count through LDS and issues one AFA on Completed.
+  virtual Kernel<void> report_complete(Wave& w, std::uint32_t count);
 
   // Per-ticket completion reporting. Single-band queues only need the
   // count (the default forwards, same simulated cost); the banded
@@ -368,21 +417,11 @@ class DeviceQueue {
 
   [[nodiscard]] const QueueLayout& layout() const { return layout_; }
 
-  // True when tickets are globally unique for the life of a run and can
-  // therefore serve as task-trace ids (BASE/AN/RF-AN: unbounded
-  // counters; DISTRIB: sub-queue-encoded counters). The locked stack
-  // reuses LIFO indices and overrides to false — it records no task
-  // events.
-  [[nodiscard]] virtual bool traceable_tickets() const { return true; }
-
-  // Priority-band introspection. Single-band queues report one band and
-  // map every ticket to it; BucketedMultiQueue overrides all three.
-  // band_of decodes host-side (no simulated cost) — op-history records
-  // and telemetry are its only consumers.
+  // Ticket decoding (TicketSpace): band_of, and traceable_tickets —
+  // false only for the locked stack, which reuses LIFO indices, so the
+  // task trace skips its events. Single-band queues report one band;
+  // BucketedMultiQueue overrides band_of, num_bands and band_occupancy.
   [[nodiscard]] virtual std::uint32_t num_bands() const { return 1; }
-  [[nodiscard]] virtual std::uint64_t band_of(std::uint64_t /*ticket*/) const {
-    return 0;
-  }
   // Host-side backlog of one band (reserved-but-unclaimed tickets),
   // for the per-band telemetry gauges.
   [[nodiscard]] virtual std::uint64_t band_occupancy(const simt::Device& dev,
@@ -397,24 +436,13 @@ class DeviceQueue {
   [[nodiscard]] virtual QueueSnapshot snapshot(const simt::Device& dev) const;
 
  protected:
-  // Ring placement of a Rear/Front ticket. The default is the single
-  // shared ring; DistributedQueue overrides to decode its per-CU
-  // sub-queue encoding. The locked stack's tickets are raw indices
-  // below capacity, so the default maps them to epoch 0 unchanged.
-  struct SlotRef {
-    std::uint64_t index = 0;  // absolute index into layout_.slots
-    std::uint64_t epoch = 0;  // ring epoch (wrap count)
-  };
-  [[nodiscard]] virtual SlotRef slot_of(std::uint64_t ticket) const {
+  // Ring placement of a Rear/Front ticket (index into layout_.slots,
+  // ring epoch). The default is the single shared ring; DistributedQueue
+  // and BucketedMultiQueue override to decode their ticket encodings.
+  // The locked stack's tickets are raw indices below capacity, so the
+  // default maps them to epoch 0 unchanged.
+  [[nodiscard]] SlotRef slot_of(std::uint64_t ticket) const override {
     return {ticket % layout_.capacity, ticket / layout_.capacity};
-  }
-
-  // Inverse of slot_of: the ticket that maps to (slot index, epoch).
-  // Used by check_arrival to reconstruct the delivered ticket for the
-  // operation history; overridden alongside slot_of.
-  [[nodiscard]] virtual std::uint64_t ticket_of(std::uint64_t slot,
-                                                std::uint64_t epoch) const {
-    return epoch * layout_.capacity + slot;
   }
 
   // Residency accounting behind resident_tokens: bumped where slot-full
@@ -433,12 +461,55 @@ class DeviceQueue {
 
   // Appends (ticket, token) to st.parked (throws SimError past
   // kMaxParked — drivers freezing production while parked makes that
-  // unreachable) and records the ticket reservation in the attached
-  // operation history and task trace. `parent` is the spawning task's
-  // trace id: reservation is where a task's identity is born, so the
-  // causal edge is stamped here.
+  // unreachable) and calls st.on_reserve. `parent` is the spawning
+  // task's trace id: reservation is where a task's identity is born, so
+  // the causal edge is stamped here.
   void park(Wave& w, WaveQueueState& st, std::uint64_t ticket,
             std::uint64_t token, std::uint64_t parent = kNoTask);
+
+  // Emits one kReserve event for the entries parked since index `from`
+  // (one wave's reservation batch). Callers invoke it right after their
+  // park loop, in the same event-processing slice.
+  void emit_reserved(Wave& w, const WaveQueueState& st, std::uint32_t from);
+
+  // Hands `lanes` (lowest first) the tickets next_ticket(lane) yields:
+  // each lane starts monitoring its ticket's slot and leaves the hungry
+  // set. Announces the claim as one kClaim event.
+  template <typename NextTicket>
+  void claim_lanes(Wave& w, WaveQueueState& st, LaneMask lanes,
+                   NextTicket&& next_ticket) {
+    if (lanes == 0) return;
+    for_lanes(lanes, [&](unsigned lane) {
+      st.ticket[lane] = next_ticket(lane);
+      const SlotRef ref = slot_of(st.ticket[lane]);
+      st.slot[lane] = ref.index;
+      st.epoch[lane] = ref.epoch;
+      st.assign_cycle[lane] = w.now();
+    });
+    emit(w, {.step = simt::QueueStep::kClaim,
+             .lanes = lanes,
+             .tickets = st.ticket.data(),
+             .space = this});
+    st.assigned |= lanes;
+    st.hungry &= ~lanes;
+  }
+
+  // Parks every staged token (lane order) under the ticket
+  // `next_ticket(token)` returns, announces the batch as one kReserve
+  // event and clears the staging registers: the reservation tail of
+  // every variant that reserves a wave's whole batch at once.
+  template <typename NextTicket>
+  void park_new(Wave& w, WaveQueueState& st, NextTicket&& next_ticket) {
+    const std::uint32_t from = st.n_parked;
+    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
+      for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
+        park(w, st, next_ticket(st.new_tokens[lane][t]),
+             st.new_tokens[lane][t], st.new_parents[lane][t]);
+      }
+    }
+    emit_reserved(w, st, from);
+    st.clear_produce();
+  }
 
   // Shared enqueue tail: attempt to write every parked entry into its
   // ring slot (oldest ticket first). An entry writes only over the
@@ -448,9 +519,10 @@ class DeviceQueue {
 
   // Deadlock bookkeeping shared by flush_parked and schedulers with
   // bespoke publish paths (the locked stack): marks surviving parked
-  // entries stalled and counts the retry. Returns true once the device
-  // progress signature has been frozen for kPublishDeadlockRounds
-  // consecutive stalled attempts — the caller must then
+  // entries stalled (emitting kReserveStall for the newly stalled ones)
+  // and counts the retry. Returns true once the device progress
+  // signature has been frozen for kPublishDeadlockRounds consecutive
+  // stalled attempts — the caller must then
   // `co_await w.abort_kernel(kPublishDeadlockMessage)`. A plain function
   // rather than a child coroutine: it runs once per work cycle per wave
   // and almost always takes the no-parked-tokens early-out, where a
@@ -472,7 +544,6 @@ class RfanQueue final : public DeviceQueue {
   [[nodiscard]] QueueVariant variant() const override { return QueueVariant::kRfan; }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
   Kernel<void> publish(Wave& w, WaveQueueState& st) override;
-  Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
 };
 
 class AnQueue final : public DeviceQueue {
@@ -481,7 +552,6 @@ class AnQueue final : public DeviceQueue {
   [[nodiscard]] QueueVariant variant() const override { return QueueVariant::kAn; }
   Kernel<void> acquire_slots(Wave& w, WaveQueueState& st) override;
   Kernel<void> publish(Wave& w, WaveQueueState& st) override;
-  Kernel<void> report_complete(Wave& w, std::uint32_t count) override;
 };
 
 class BaseQueue final : public DeviceQueue {
@@ -495,5 +565,12 @@ class BaseQueue final : public DeviceQueue {
 
 std::unique_ptr<DeviceQueue> make_queue_variant(QueueVariant variant,
                                                 QueueLayout layout);
+
+// Stamps run-identifying metadata (queue variant, capacity) into an
+// attached task trace; drivers call it once per attach.
+inline void stamp_task_meta(simt::TaskTrace& trace, const DeviceQueue& queue) {
+  trace.set_meta("variant", std::string(to_string(queue.variant())));
+  trace.set_meta("capacity", std::to_string(queue.layout().capacity));
+}
 
 }  // namespace scq

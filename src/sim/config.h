@@ -7,6 +7,7 @@
 // values; EXPERIMENTS.md records the calibration used for each device.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -21,6 +22,18 @@ using Addr = std::uint64_t;  // index of a 64-bit word in global memory
 inline constexpr unsigned kWaveWidth = 64;
 using LaneMask = std::uint64_t;
 inline constexpr LaneMask kAllLanes = ~LaneMask{0};
+
+[[nodiscard]] constexpr LaneMask bit(unsigned lane) {
+  return LaneMask{1} << lane;
+}
+
+// Calls f(lane) for every set lane of `mask`, lowest first.
+template <typename F>
+void for_lanes(LaneMask mask, F&& f) {
+  for (; mask != 0; mask &= mask - 1) {
+    f(static_cast<unsigned>(std::countr_zero(mask)));
+  }
+}
 
 struct DeviceConfig {
   std::string name = "device";

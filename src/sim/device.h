@@ -15,6 +15,7 @@
 #include "sim/flight_recorder.h"
 #include "sim/memory.h"
 #include "sim/op_history.h"
+#include "sim/queue_event.h"
 #include "sim/sched_policy.h"
 #include "sim/sim_profiler.h"
 #include "sim/stats.h"
@@ -115,26 +116,26 @@ class Device {
   // histograms through this accessor.
   void attach_telemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
   [[nodiscard]] Telemetry* telemetry() { return telemetry_; }
-  // Optional operation-history recording (not owned; nullptr disables).
-  // Queue implementations feed it; the fuzz checker consumes it.
-  void attach_op_history(OpHistory* history) { op_history_ = history; }
-  [[nodiscard]] OpHistory* op_history() { return op_history_; }
-  // Optional per-task causal tracing (not owned; nullptr disables).
-  // Queues and drivers feed it; sim/critical_path.h consumes it.
-  void attach_task_trace(TaskTrace* trace) { task_trace_ = trace; }
-  [[nodiscard]] TaskTrace* task_trace() { return task_trace_; }
+  // The queue-event consumers (not owned; nullptr detaches). Queues,
+  // transfer rings, the router and the drivers emit one QueueEvent per
+  // protocol step to this set (core/queue.h emit); the fuzz checker
+  // reads the operation history, sim/critical_path.h the task trace.
+  void attach_op_history(OpHistory* history) { sinks_.history = history; }
+  [[nodiscard]] OpHistory* op_history() { return sinks_.history; }
+  void attach_task_trace(TaskTrace* trace) { sinks_.trace = trace; }
+  [[nodiscard]] TaskTrace* task_trace() { return sinks_.trace; }
   // Optional simulator self-profiling (not owned; nullptr disables):
   // host wall-clock attribution of the event loop itself. Counts every
   // wave op; times 1-in-2^k loop iterations (sim/sim_profiler.h).
   void attach_profiler(SimProfiler* profiler) { profiler_ = profiler; }
   [[nodiscard]] SimProfiler* profiler() { return profiler_; }
-  // Optional black-box flight recording (not owned; nullptr disables).
-  // Queues, transfer rings and the router feed it; the black-box dump
-  // (core/black_box.h) snapshots it on abort paths.
+  // The black-box flight recorder, the third queue-event consumer; the
+  // black-box dump (core/black_box.h) snapshots it on abort paths.
   void attach_flight_recorder(FlightRecorder* recorder) {
-    flight_recorder_ = recorder;
+    sinks_.recorder = recorder;
   }
-  [[nodiscard]] FlightRecorder* flight_recorder() { return flight_recorder_; }
+  [[nodiscard]] FlightRecorder* flight_recorder() { return sinks_.recorder; }
+  [[nodiscard]] const QueueSinks& queue_sinks() const { return sinks_; }
   // Seeded schedule perturbation (identity when sched_seed == 0).
   [[nodiscard]] SchedulePolicy& sched() { return sched_; }
   void request_abort(std::string reason);
@@ -154,10 +155,8 @@ class Device {
   Cycle now_ = 0;
   TraceRecorder* tracer_ = nullptr;
   Telemetry* telemetry_ = nullptr;
-  OpHistory* op_history_ = nullptr;
-  TaskTrace* task_trace_ = nullptr;
+  QueueSinks sinks_;
   SimProfiler* profiler_ = nullptr;
-  FlightRecorder* flight_recorder_ = nullptr;
   SchedulePolicy sched_;
 
   std::vector<ComputeUnit> cus_;

@@ -1,6 +1,7 @@
 #include "sim/flight_recorder.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace simt {
@@ -78,6 +79,88 @@ void FlightRecorder::record(const FlightEvent& e) {
   stamped.source = 0;
   append_locked(stamped);
   apply_wait_locked(stamped);
+}
+
+void FlightRecorder::consume(const QueueEvent& e) {
+  // Full records (the path that maintains the wait tables) of the
+  // entries in `lanes`, or of every entry when lanes == 0.
+  const auto full = [&](FlightKind kind, LaneMask lanes, bool payload) {
+    const auto one = [&](std::uint64_t i) {
+      record({kind, e.actor, e.unit, e.ticket_at(i),
+              payload ? e.payload_at(i) : 0, e.band_at(i), e.cycle});
+    };
+    if (lanes != 0) {
+      for_lanes(lanes, [&](unsigned lane) { one(lane); });
+    } else {
+      e.for_each(one);
+    }
+  };
+  // One coalesced ring event for the entries that never waited.
+  const auto batch = [&](FlightKind kind) {
+    const LaneMask healthy = e.lanes & ~e.waited;
+    const std::uint64_t width =
+        e.lanes != 0 ? static_cast<std::uint64_t>(std::popcount(healthy))
+                     : e.count;
+    if (width == 0) return;
+    const std::uint64_t first =
+        e.lanes != 0 ? static_cast<std::uint64_t>(std::countr_zero(healthy))
+                     : 0;
+    log_steps(kind, e.actor, e.unit, e.ticket_at(first), e.band_at(first),
+              e.cycle, static_cast<std::uint32_t>(width));
+  };
+  const LaneMask waited = e.lanes & e.waited;
+
+  switch (e.step) {
+    case QueueStep::kSeed:
+      full(FlightKind::kWrite, 0, true);
+      break;
+    case QueueStep::kInject:
+      full(FlightKind::kRouter, 0, true);
+      break;
+    case QueueStep::kReserve:
+      // A fresh reservation is not yet a wait: ring log only.
+      if (e.unit != 0) {
+        full(FlightKind::kXferReserve, 0, true);
+      } else {
+        batch(FlightKind::kReserve);
+      }
+      break;
+    case QueueStep::kReserveStall:
+      full(FlightKind::kReserve, 0, true);
+      break;
+    case QueueStep::kWrite:
+      // Waited writes retire their parked entries before the fresh batch
+      // is logged; deliveries log the batch first (the ring order
+      // black-box dumps have always had).
+      if (e.unit != 0) {
+        full(FlightKind::kXferWrite, 0, true);
+      } else {
+        if (waited != 0) full(FlightKind::kWrite, waited, true);
+        batch(FlightKind::kWrite);
+      }
+      break;
+    case QueueStep::kClaim:
+      batch(FlightKind::kClaim);
+      break;
+    case QueueStep::kClaimWait:
+      full(FlightKind::kClaim, 0, false);
+      break;
+    case QueueStep::kDeliver:
+      batch(FlightKind::kDeliver);
+      if (waited != 0) full(FlightKind::kDeliver, waited, true);
+      break;
+    case QueueStep::kComplete:
+      record({FlightKind::kComplete, e.actor, e.unit, 0, e.count, e.band,
+              e.cycle});
+      break;
+    case QueueStep::kBandClose:
+      record({FlightKind::kBandClose, e.actor, e.unit, e.ticket, 0, e.band,
+              e.cycle});
+      break;
+    case QueueStep::kExecStart:
+    case QueueStep::kExecEnd:
+      break;
+  }
 }
 
 void FlightRecorder::set_source_label(std::string label) {

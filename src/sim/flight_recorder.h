@@ -1,9 +1,9 @@
-// Black-box flight recording: the sixth observability sibling (tracer,
-// telemetry, op-history, task trace, profiler — and now the recorder).
+// Black-box flight recording: the queue-event stream's
+// (sim/queue_event.h) consumer for failed runs.
 //
 // A FlightRecorder keeps a bounded ring of the most recent scheduler /
 // queue events — ticket reservations, ring writes, dequeue claims,
-// deliveries, completions, band closures, transfer-ring traffic and
+// deliveries, completions, band closes, transfer-ring traffic and
 // host-router injections — each tagged with the device cycle, the
 // acting wave slot, the ticket and its priority band. Unlike OpHistory
 // (append-only, unbounded, consumed by the fuzz checker) the recorder
@@ -28,15 +28,18 @@
 // material: the post-mortem analyzer (util/postmortem.h) joins parked
 // reservations against the monitors of the tickets that block them.
 //
-// Cost discipline (the recorder is attached to every run): the queues
-// feed the healthy path through log_step(), which coalesces one wave's
-// per-lane protocol steps into a single ring event and never touches
-// the wait tables. Full record() calls — which do maintain the tables —
-// happen only at wait *transitions*: a reservation's first stalled
-// flush round, a claim's first missed poll, and the write/deliver that
-// finally retires a waited ticket. Healthy tokens therefore cost a few
-// ns of ring logging each; only actual waits pay for table upkeep, and
-// the tables hold exactly the state a deadlock analysis needs.
+// Cost discipline (the recorder is attached to every run): consume()
+// logs the healthy part of each main-queue event — a wave's reserve,
+// write, claim or deliver batch — through log_steps(), one coalesced
+// ring event that never touches the wait tables. Full record() calls —
+// which do maintain the tables — happen only at wait *transitions*: a
+// reservation's first stalled flush round (kReserveStall), a claim's
+// first missed poll (kClaimWait), and the write/deliver of an entry the
+// event marks as `waited`, which retires its table entry. Healthy
+// tokens therefore cost a fraction of one call per wave; only actual
+// waits pay for table upkeep, and the tables hold exactly the state a
+// deadlock analysis needs. Transfer-ring traffic, seeds, router
+// injections, completions and band closes are recorded in full.
 //
 // Determinism: events are recorded within the same event-processing
 // slice as the simulated memory effect they describe, the ring and the
@@ -59,6 +62,7 @@
 #include <vector>
 
 #include "sim/config.h"
+#include "sim/queue_event.h"
 
 namespace simt {
 
@@ -122,28 +126,23 @@ class FlightRecorder {
   // from host threads.
   void record(const FlightEvent& e);
 
-  // Coalescing fast path for the per-lane protocol feeds (the always-on
-  // hot sites: reserve/write/claim/deliver). Consecutive steps with the
-  // same (kind, actor, unit, cycle) — one wave's batch within one
-  // event-processing slice — fold into a single ring event whose ticket
-  // and band are the first lane's and whose payload is the batch width.
-  // The wait tables are NOT touched: feed sites record() full events at
-  // wait transitions instead (see the header comment).
+  // Records one queue event (see the header comment for which parts
+  // are coalesced and which recorded in full). Owner-thread only, like
+  // log_steps.
+  void consume(const QueueEvent& e);
+
+  // Coalescing fast path behind consume(): `width` consecutive steps
+  // with the same (kind, actor, unit, cycle) — one wave's batch within
+  // one event-processing slice — fold into a single ring event whose
+  // ticket and band are the first step's and whose payload is the batch
+  // width; a following call with the same key widens it. The wait
+  // tables are NOT touched (see the header comment).
   //
-  // Lock-free by design (the budget is a few ns per lane): log_step
+  // Lock-free by design (the budget is a few ns per wave): log_steps
   // must only be called from the thread driving the simulator. The
   // pending batch is folded into the ring — under the mutex — when a
   // non-matching step begins, a full event is recorded, or any reader
   // snapshots the recorder.
-  void log_step(FlightKind kind, std::uint32_t actor, std::uint32_t unit,
-                std::uint64_t ticket, std::uint64_t band, Cycle cycle) {
-    log_steps(kind, actor, unit, ticket, band, cycle, 1);
-  }
-
-  // Width-aware variant for feed sites that know the whole batch up
-  // front (e.g. a wave claiming `width` contiguous tickets with one
-  // AFA): one call logs the entire batch, so the recorder costs one
-  // branch per wave instead of one call per lane.
   void log_steps(FlightKind kind, std::uint32_t actor, std::uint32_t unit,
                  std::uint64_t ticket, std::uint64_t band, Cycle cycle,
                  std::uint32_t width) {

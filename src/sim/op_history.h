@@ -1,19 +1,19 @@
 // Operation-history recording for queue correctness checking.
 //
-// OpHistory is the third observability sibling (tracer, telemetry,
-// history): an append-only log of every queue operation — ticket
-// reservations, ring writes, dequeue claims, deliveries — that the
-// schedule-fuzzing checker (tests/support/queue_checker.h) replays
-// against the sequential FIFO spec. Queue implementations record into
-// the device's attached history (nullptr disables, costing one branch);
-// the host broker queue records directly under its own attachment.
+// OpHistory is the checker's consumer of the queue-event stream
+// (sim/queue_event.h): an append-only, unbounded log of every queue
+// operation that the schedule-fuzzing checker
+// (tests/support/queue_checker.h) replays against the sequential FIFO
+// spec. consume() appends one record per entry, in entry order (a host
+// seed or router injection: a reserve record then a write record per
+// ticket); transfer-ring events leave no record.
 //
-// Records are appended at the instant the corresponding simulated
-// memory effect is applied (for device queues: within the same event
-// processing slice), so the append order is consistent with the
-// happens-before order of the protocol. The checker relies on append
-// indices, never on cycle comparisons — completion cycles can legally
-// invert relative to effect order.
+// Events are emitted at the instant the simulated memory effect is
+// applied (for device queues: within the same event processing slice),
+// so the append order is consistent with the happens-before order of
+// the protocol. The checker relies on append indices, never on cycle
+// comparisons — completion cycles can legally invert relative to
+// effect order.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/config.h"
+#include "sim/queue_event.h"
 
 namespace simt {
 
@@ -43,9 +44,6 @@ enum class QueueOp : std::uint8_t {
   return "?";
 }
 
-// Actor id used for host-side operations (seeding, broker threads).
-inline constexpr std::uint32_t kHostActor = 0xffffffffu;
-
 struct OpRecord {
   QueueOp op = QueueOp::kEnqueueReserve;
   std::uint32_t actor = 0;     // wave slot id, or kHostActor
@@ -64,6 +62,48 @@ class OpHistory {
   void record(const OpRecord& r) {
     std::lock_guard<std::mutex> lock(mu_);
     records_.push_back(r);
+  }
+
+  // Appends the event's records under one lock, so a batch stays
+  // contiguous in the total order.
+  void consume(const QueueEvent& e) {
+    if (e.unit != 0) return;
+    QueueOp op = QueueOp::kEnqueueReserve;
+    bool with_write = false;  // host steps: reserve and write coincide
+    switch (e.step) {
+      case QueueStep::kSeed:
+      case QueueStep::kInject:
+        with_write = true;
+        break;
+      case QueueStep::kReserve:
+        break;
+      case QueueStep::kWrite:
+        op = QueueOp::kEnqueueWrite;
+        break;
+      case QueueStep::kClaim:
+        op = QueueOp::kDequeueClaim;
+        break;
+      case QueueStep::kDeliver:
+        op = QueueOp::kDequeueDeliver;
+        break;
+      case QueueStep::kBandClose:
+        record({QueueOp::kBandClose, e.actor, e.ticket, 0, 0, 0, e.cycle,
+                e.band});
+        return;
+      default:
+        return;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    e.for_each([&](std::uint64_t i) {
+      const TicketSpace::SlotRef ref = e.slot_at(i);
+      OpRecord r{op,           e.actor,         e.ticket_at(i), ref.index,
+                 ref.epoch,    e.payload_at(i), e.cycle,        e.band_at(i)};
+      records_.push_back(r);
+      if (with_write) {
+        r.op = QueueOp::kEnqueueWrite;
+        records_.push_back(r);
+      }
+    });
   }
 
   [[nodiscard]] std::vector<OpRecord> snapshot() const {

@@ -22,6 +22,47 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
+void TaskTrace::consume(const QueueEvent& e) {
+  if (e.unit != 0 || !e.traceable()) return;
+  TaskPhase phase = TaskPhase::kReserve;
+  bool with_write = false;  // host seeds: reserve and write coincide
+  switch (e.step) {
+    case QueueStep::kSeed:
+      with_write = true;
+      break;
+    case QueueStep::kReserve:
+      break;
+    case QueueStep::kWrite:
+      phase = TaskPhase::kPayloadWrite;
+      break;
+    case QueueStep::kClaim:
+      phase = TaskPhase::kClaim;
+      break;
+    case QueueStep::kDeliver:
+      phase = TaskPhase::kArrival;
+      break;
+    case QueueStep::kExecStart:
+      phase = TaskPhase::kExecStart;
+      break;
+    case QueueStep::kExecEnd:
+      phase = TaskPhase::kExecEnd;
+      break;
+    default:
+      return;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  e.for_each([&](std::uint64_t i) {
+    TaskEvent ev{phase,   e.ticket_at(i), e.parent_at(i), e.payload_at(i),
+                 e.actor, e.cu,           e.cycle};
+    if (ev.ticket == kNoTask) return;
+    append_locked(ev);
+    if (with_write) {
+      ev.phase = TaskPhase::kPayloadWrite;
+      append_locked(ev);
+    }
+  });
+}
+
 void TaskTrace::set_meta(std::string key, std::string value) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [k, v] : meta_) {

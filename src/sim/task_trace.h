@@ -1,13 +1,13 @@
-// Per-task causal lifecycle tracing: the fourth observability sibling
-// (tracer, telemetry, op-history, task trace).
+// Per-task causal lifecycle tracing: the queue-event stream's
+// (sim/queue_event.h) per-task consumer.
 //
 // Every task token gets a trace id the moment its enqueue ticket is
 // reserved — for the BASE/AN/RF-AN rings and the distributed queue the
 // ticket itself is that id: tickets are unbounded counters, so they are
 // globally unique for the life of a run (the locked stack reuses LIFO
-// indices and is therefore not traceable; it records nothing). The
-// queues, drivers, and the host broker queue append timestamped
-// lifecycle events:
+// indices and is therefore not traceable; consume() skips its events).
+// consume() expands each queue event into one timestamped lifecycle
+// event per entry:
 //
 //   kReserve       enqueue ticket reserved (carries the parent edge:
 //                  the task whose execution spawned this token)
@@ -20,6 +20,10 @@
 //   kExecEnd       execution finished (children were spawned between
 //                  start and end, each recording its own kReserve with
 //                  this task as parent)
+//
+// A host seed becomes kReserve + kPayloadWrite per ticket; router
+// injections, transfer-ring traffic, wait transitions, completions and
+// band closes carry no task lifecycle and are skipped.
 //
 // The events of one run form a causality DAG: per-task lifecycle chains
 // plus parent->child spawn edges. sim/critical_path.h consumes it for
@@ -39,12 +43,9 @@
 #include <vector>
 
 #include "sim/config.h"
+#include "sim/queue_event.h"
 
 namespace simt {
-
-// Sentinel for "no task": root tasks have no parent, and schedulers
-// without stable tickets (the locked stack) deliver it as the ticket.
-inline constexpr std::uint64_t kNoTask = ~std::uint64_t{0};
 
 enum class TaskPhase : std::uint8_t {
   kReserve,
@@ -89,15 +90,12 @@ class TaskTrace {
   void record(const TaskEvent& e) {
     if (e.ticket == kNoTask) return;
     std::lock_guard<std::mutex> lock(mu_);
-    if (events_.size() < capacity_) {
-      TaskEvent stamped = e;
-      stamped.ticket |= ticket_namespace_;
-      if (stamped.parent != kNoTask) stamped.parent |= ticket_namespace_;
-      events_.push_back(stamped);
-    } else {
-      ++dropped_;
-    }
+    append_locked(e);
   }
+
+  // Records one lifecycle event per entry of a queue event (see the
+  // header comment for which steps carry one).
+  void consume(const QueueEvent& e);
 
   // Ticket namespace for multi-device traces: OR'd into every recorded
   // ticket (and parent edge). Queue tickets are 48-bit-bounded counters,
@@ -169,6 +167,17 @@ class TaskTrace {
   bool write_json(const std::string& path) const;
 
  private:
+  void append_locked(const TaskEvent& e) {
+    if (events_.size() < capacity_) {
+      TaskEvent stamped = e;
+      stamped.ticket |= ticket_namespace_;
+      if (stamped.parent != kNoTask) stamped.parent |= ticket_namespace_;
+      events_.push_back(stamped);
+    } else {
+      ++dropped_;
+    }
+  }
+
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::uint64_t ticket_namespace_ = 0;

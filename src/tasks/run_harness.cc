@@ -2,8 +2,6 @@
 
 #include "core/black_box.h"
 #include "core/bucketed_queue.h"
-#include "core/task_probes.h"
-#include "core/telemetry_probes.h"
 #include "sim/flight_recorder.h"
 #include "sim/op_history.h"
 #include "sim/task_trace.h"
@@ -15,7 +13,8 @@ namespace scq::tasks {
 namespace {
 
 // Clears and attaches the sinks other than the flight recorder against
-// this attempt's device and queue.
+// this attempt's device and queue. The telemetry's scheduler probes are
+// registered by run_task_waves, which every attempt body goes through.
 void attach_sinks(simt::Device& dev, const DeviceQueue& queue,
                   const RunSinks& sinks) {
   if (sinks.trace) {
@@ -32,9 +31,7 @@ void attach_sinks(simt::Device& dev, const DeviceQueue& queue,
     dev.attach_task_trace(sinks.task_trace);
   }
   if (sinks.telemetry) {
-    sinks.telemetry->clear_probes();
     sinks.telemetry->mirror_counters_to(sinks.trace);
-    register_scheduler_probes(*sinks.telemetry, dev, queue);
     dev.attach_telemetry(sinks.telemetry);
   }
   if (sinks.profiler) dev.attach_profiler(sinks.profiler);

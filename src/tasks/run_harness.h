@@ -12,9 +12,9 @@
 //   - trace, history and task_trace are cleared per attempt, so they
 //     hold exactly the attempt that produced the returned result;
 //   - telemetry data accumulates across attempts and runs (the caller
-//     owns Telemetry::reset_data); its probes are re-registered against
-//     each attempt's device and queue, and sampled series are mirrored
-//     into the trace when both are given;
+//     owns Telemetry::reset_data); run_task_waves re-registers its probes
+//     against each attempt's device and queue, and sampled series are
+//     mirrored into the trace when both are given;
 //   - the profiler accumulates (the caller owns reset());
 //   - a flight recorder is always attached — an internal one when the
 //     caller passes none — so every aborted attempt leaves a black box.

@@ -8,23 +8,11 @@
 
 #include "core/counters.h"
 #include "core/ext_schedulers.h"
-#include "core/task_probes.h"
 #include "core/telemetry_probes.h"
 
 namespace scq::tasks {
 
 namespace {
-
-constexpr LaneMask bit(unsigned lane) { return LaneMask{1} << lane; }
-
-template <typename F>
-void for_lanes(LaneMask mask, F&& f) {
-  while (mask) {
-    const unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-    f(lane);
-    mask &= mask - 1;
-  }
-}
 
 // The persistent-thread work cycle (Algorithm 1). The client hooks
 // supply the arrival prolog and the work step; completions carry their
@@ -138,6 +126,13 @@ simt::RunResult run_task_waves(simt::Device& dev, DeviceQueue& queue,
   const std::uint32_t workgroups = options.num_workgroups != 0
                                        ? options.num_workgroups
                                        : dev.config().resident_waves();
+  // Standard gauges against this (device, queue) pair, replacing any
+  // probes from a previous run whose objects may be gone. Every
+  // single-device run passes through here once per launch.
+  if (simt::Telemetry* probes = dev.telemetry()) {
+    probes->clear_probes();
+    register_scheduler_probes(*probes, dev, queue);
+  }
   // Clients live in the launch scope; the vector only ever grows, and
   // the pointed-to objects are stable across its reallocation.
   std::vector<std::unique_ptr<TaskWaveClient>> clients;
@@ -302,7 +297,6 @@ class HostTaskClient final : public TaskWaveClient {
 
   Kernel<LaneMask> work_step(Wave& w, WaveQueueState& st,
                              LaneMask run) override {
-    const bool traced = task_sink(w) != nullptr;
     LaneMask done = 0;
     LaneMask executed = 0;
     for_lanes(run, [&](unsigned lane) {
@@ -313,29 +307,29 @@ class HostTaskClient final : public TaskWaveClient {
         if (stash_[lane].empty()) done |= bit(lane);
         return;
       }
-      if (traced) {
-        trace_task(w, simt::TaskPhase::kExecStart, ticket_[lane],
-                   token_[lane]);
-      }
       run_task(lane, st);
       executed |= bit(lane);
       if (stash_[lane].empty()) done |= bit(lane);
     });
     shared_.observe_frontier();
-    if (executed) co_await w.compute(shared_.opt().task_compute);
-    if (traced) {
+    if (executed) {
+      emit(w, {.step = simt::QueueStep::kExecStart,
+               .lanes = executed,
+               .tickets = ticket_.data(),
+               .payloads = token_.data()});
+      co_await w.compute(shared_.opt().task_compute);
       // Stamped after the compute await, so exec-end lands at the cycle
       // the batch actually retired.
-      for_lanes(executed, [&](unsigned lane) {
-        trace_task(w, simt::TaskPhase::kExecEnd, ticket_[lane]);
-      });
+      emit(w, {.step = simt::QueueStep::kExecEnd,
+               .lanes = executed,
+               .tickets = ticket_.data()});
     }
     co_return done;
   }
 
   // Child emission shared by spawn/respawn/release: straight into the
   // lane's publish buffer while it has room, stashed past that.
-  void emit(unsigned lane, WaveQueueState& st, std::uint64_t token,
+  void push_child(unsigned lane, WaveQueueState& st, std::uint64_t token,
             std::uint64_t parent) {
     if (st.n_new[lane] < kMaxWorkBudget) {
       st.push_token(lane, token, parent);
@@ -358,13 +352,14 @@ class HostTaskClient final : public TaskWaveClient {
   void release(TaskContext& ctx, const HostTaskShared::Deferred& d) {
     shared_.check_band(ctx.band_, d.band);
     ++shared_.stats().released;
-    emit(ctx.lane_, *ctx.st_, pack_task(d.payload, d.band), ctx.ticket_);
+    push_child(ctx.lane_, *ctx.st_, pack_task(d.payload, d.band), ctx.ticket_);
   }
 
   void spawn(TaskContext& ctx, std::uint64_t payload, std::uint64_t band) {
     shared_.check_band(ctx.band_, band);
     ++shared_.stats().spawns;
-    emit(ctx.lane_, *ctx.st_, pack_task_checked(payload, band), ctx.ticket_);
+    push_child(ctx.lane_, *ctx.st_, pack_task_checked(payload, band),
+               ctx.ticket_);
   }
 
   HostTaskShared& shared() { return shared_; }
@@ -431,13 +426,6 @@ simt::RunResult run_host_tasks(simt::Device& dev, DeviceQueue& queue,
     tokens.push_back(pack_task_checked(s.payload, s.band));
   }
   queue.seed(dev, tokens);
-
-  // Standard gauges against this (device, queue) pair, replacing any
-  // probes from a previous run whose objects may be gone.
-  if (simt::Telemetry* probes = dev.telemetry()) {
-    probes->clear_probes();
-    register_scheduler_probes(*probes, dev, queue);
-  }
 
   HostTaskShared shared(dev, queue, task, options);
   TaskEngineOptions eng;

@@ -1,9 +1,11 @@
 // Cluster runtime integration tests: multi-device BFS/SSSP validated
 // against the serial references across device counts, scheduler
 // variants, partition and balance policies; bit-exact determinism; the
-// 1-device degeneration contract; telemetry / task-trace namespacing.
+// 1-device degeneration contract; telemetry / task-trace namespacing;
+// exact results under perturbed schedules (sched_seed != 0).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -173,6 +175,70 @@ TEST(ClusterTest, StealPriorityStaysExactAndOrdersByCost) {
     EXPECT_EQ(again.run.router.stolen, result.run.router.stolen) << family;
   }
 }
+
+// ---- Schedule perturbation: transfer rings and router off seed 0 ----
+
+// Every non-zero seed permutes same-cycle tie-breaking and jitters
+// memory and atomic latency, so the rings, the router's injection
+// backpressure and the steal policies run under schedules seed 0 never
+// produces. Results must stay exact and no run may abort.
+class ClusterPerturbed
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint64_t, std::uint32_t, cluster::BalancePolicy>> {
+ protected:
+  static simt::DeviceConfig perturbed_device(std::uint64_t seed) {
+    simt::DeviceConfig cfg = small_device();
+    cfg.sched_seed = seed;
+    cfg.sched_mem_jitter = 48;
+    cfg.sched_atomic_jitter = 24;
+    return cfg;
+  }
+  static ClusterBfsOptions options(std::uint32_t devices,
+                                   cluster::BalancePolicy balance) {
+    ClusterBfsOptions opt;
+    opt.num_devices = devices;
+    opt.balance = balance;
+    opt.steal_trigger = 1.5;
+    return opt;
+  }
+};
+
+TEST_P(ClusterPerturbed, BfsLevelsMatchSerialReference) {
+  const auto& [seed, devices, balance] = GetParam();
+  const graph::Graph g = make_graph("rmat");
+  const auto ref = graph::bfs_levels(g, 0);
+  const ClusterBfsResult result = run_cluster_bfs(
+      perturbed_device(seed), g, 0, options(devices, balance));
+  ASSERT_FALSE(result.run.aborted) << result.run.abort_reason;
+  EXPECT_TRUE(result.black_box.empty());
+  EXPECT_TRUE(matches_reference(result.levels, ref))
+      << first_mismatch(result.levels, ref);
+}
+
+TEST_P(ClusterPerturbed, SsspDistancesMatchDijkstra) {
+  const auto& [seed, devices, balance] = GetParam();
+  const graph::Graph g = graph::with_random_weights(make_graph("rmat"), 19);
+  const auto ref = graph::dijkstra(g, 0);
+  const ClusterSsspResult result = run_cluster_sssp(
+      perturbed_device(seed), g, 0, options(devices, balance));
+  ASSERT_FALSE(result.run.aborted) << result.run.abort_reason;
+  EXPECT_TRUE(result.black_box.empty());
+  EXPECT_EQ(result.dist, ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ClusterPerturbed,
+    ::testing::Combine(
+        ::testing::Range<std::uint64_t>(1, 7), ::testing::Values(2u, 4u),
+        ::testing::Values(cluster::BalancePolicy::kOwnerOnly,
+                          cluster::BalancePolicy::kSteal,
+                          cluster::BalancePolicy::kStealPriority)),
+    [](const auto& pinfo) {
+      std::string policy(cluster::to_string(std::get<2>(pinfo.param)));
+      std::replace(policy.begin(), policy.end(), '-', '_');
+      return "seed" + std::to_string(std::get<0>(pinfo.param)) + "_d" +
+             std::to_string(std::get<1>(pinfo.param)) + "_" + policy;
+    });
 
 TEST(ClusterTest, BalancePolicyNamesRoundTrip) {
   using cluster::BalancePolicy;

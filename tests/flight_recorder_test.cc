@@ -73,7 +73,7 @@ TEST(FlightRecorderTest, LogStepCoalescesOneWaveBatch) {
   // event whose ticket/band are the first lane's and whose payload is
   // the batch width.
   for (std::uint64_t t = 20; t < 24; ++t) {
-    rec.log_step(FlightKind::kClaim, 3, 0, t, 1, 500);
+    rec.log_steps(FlightKind::kClaim, 3, 0, t, 1, 500, 1);
   }
   const std::vector<FlightEvent> events = rec.snapshot();
   ASSERT_EQ(events.size(), 1u);
@@ -84,7 +84,7 @@ TEST(FlightRecorderTest, LogStepCoalescesOneWaveBatch) {
   EXPECT_EQ(events[0].band, 1u);
   EXPECT_EQ(events[0].cycle, 500u);
 
-  // log_step never touches the wait tables (wait transitions go through
+  // log_steps never touches the wait tables (wait transitions go through
   // full record() at the feed sites).
   EXPECT_TRUE(rec.monitors().empty());
   EXPECT_TRUE(rec.parked().empty());
@@ -94,10 +94,10 @@ TEST(FlightRecorderTest, LogStepFlushesOnMismatchRecordAndReaders) {
   FlightRecorder rec;
 
   // A change in any of (kind, actor, unit, cycle) starts a new batch.
-  rec.log_step(FlightKind::kDeliver, 2, 0, 7, 0, 100);
-  rec.log_step(FlightKind::kDeliver, 2, 0, 8, 0, 100);
-  rec.log_step(FlightKind::kDeliver, 2, 0, 9, 0, 101);  // new cycle
-  rec.log_step(FlightKind::kClaim, 2, 0, 10, 0, 101);   // new kind
+  rec.log_steps(FlightKind::kDeliver, 2, 0, 7, 0, 100, 1);
+  rec.log_steps(FlightKind::kDeliver, 2, 0, 8, 0, 100, 1);
+  rec.log_steps(FlightKind::kDeliver, 2, 0, 9, 0, 101, 1);  // new cycle
+  rec.log_steps(FlightKind::kClaim, 2, 0, 10, 0, 101, 1);   // new kind
 
   // A full record() flushes the pending batch first, so ring order
   // matches feed order.
@@ -118,7 +118,7 @@ TEST(FlightRecorderTest, LogStepFlushesOnMismatchRecordAndReaders) {
   }
 
   // Readers see the pending batch too: size()/recorded() flush it.
-  rec.log_step(FlightKind::kWrite, 2, 0, 11, 0, 103);
+  rec.log_steps(FlightKind::kWrite, 2, 0, 11, 0, 103, 1);
   EXPECT_EQ(rec.size(), 5u);
   EXPECT_EQ(rec.recorded(), 5u);
 }
@@ -127,7 +127,7 @@ TEST(FlightRecorderTest, LogStepsAddsWholeBatchesAndClearResetsPending) {
   FlightRecorder rec;
 
   // A width-aware batch merges into a matching pending step...
-  rec.log_step(FlightKind::kClaim, 4, 0, 30, 0, 200);
+  rec.log_steps(FlightKind::kClaim, 4, 0, 30, 0, 200, 1);
   rec.log_steps(FlightKind::kClaim, 4, 0, 31, 0, 200, 7);
   // ...and zero-width calls are ignored.
   rec.log_steps(FlightKind::kClaim, 4, 0, 99, 0, 200, 0);
@@ -137,7 +137,7 @@ TEST(FlightRecorderTest, LogStepsAddsWholeBatchesAndClearResetsPending) {
   EXPECT_EQ(events[0].payload, 8u);
 
   // clear() drops a pending batch along with the ring.
-  rec.log_step(FlightKind::kClaim, 4, 0, 40, 0, 201);
+  rec.log_steps(FlightKind::kClaim, 4, 0, 40, 0, 201, 1);
   rec.clear();
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(rec.recorded(), 0u);

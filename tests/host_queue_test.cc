@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "core/host_queue.h"
+#include "sim/op_history.h"
+#include "sim/task_trace.h"
 
 namespace scq {
 namespace {
@@ -341,6 +344,68 @@ TEST_P(BrokerPropertyTest, ProducerConsumerPairConserves) {
   }
   producer.join();
   EXPECT_EQ(sum, kCount * (kCount - 1) / 2);
+}
+
+// The broker's sink set (history + task trace, the same consumers a
+// simulated device feeds) under real producer/consumer threads: every
+// ticket reaches each log exactly once per protocol step, and the
+// history's total order keeps each ticket's steps in protocol order.
+TEST(HostBrokerQueueTest, SinkSetRecordsEveryStepFromRealThreads) {
+  constexpr std::uint64_t kPerProducer = 2000;
+  constexpr unsigned kThreads = 2;
+  constexpr std::uint64_t kTotal = kPerProducer * kThreads;
+  simt::OpHistory history;
+  simt::TaskTrace trace(std::size_t{1} << 16);
+  HostBrokerQueue<std::uint64_t> q(64);
+  q.attach_history(&history);
+  q.attach_task_trace(&trace);
+
+  std::vector<std::thread> threads;
+  for (unsigned p = 0; p < kThreads; ++p) {
+    threads.emplace_back([&q, p] {
+      std::vector<std::uint64_t> batch;
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        batch.push_back(1 + p * kPerProducer + i);
+        if (batch.size() == 5 || i + 1 == kPerProducer) {
+          ASSERT_TRUE(q.enqueue_batch(batch));
+          batch.clear();
+        }
+      }
+    });
+  }
+  std::atomic<std::uint64_t> sum{0};
+  for (unsigned c = 0; c < kThreads; ++c) {
+    threads.emplace_back([&q, &sum] {
+      std::array<std::uint64_t, 4> out{};
+      for (std::uint64_t got = 0; got < kPerProducer; got += out.size()) {
+        ASSERT_TRUE(q.dequeue_batch(out));
+        for (const std::uint64_t v : out) sum += v;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(sum.load(), kTotal * (kTotal + 1) / 2);
+
+  // Per ticket: reserve < write < deliver in append order, claim <
+  // deliver, each exactly once.
+  std::vector<std::array<int, 4>> seen(kTotal, {-1, -1, -1, -1});
+  const std::vector<simt::OpRecord> records = history.snapshot();
+  ASSERT_EQ(records.size(), 4 * kTotal);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const simt::OpRecord& r = records[i];
+    ASSERT_LT(r.ticket, kTotal);
+    int& slot = seen[r.ticket][static_cast<unsigned>(r.op)];
+    ASSERT_EQ(slot, -1) << "ticket " << r.ticket << " op twice";
+    slot = static_cast<int>(i);
+  }
+  for (std::uint64_t t = 0; t < kTotal; ++t) {
+    const auto& [reserve, write, claim, deliver] = seen[t];
+    EXPECT_LT(reserve, write) << t;
+    EXPECT_LT(write, deliver) << t;
+    EXPECT_LT(claim, deliver) << t;
+  }
+  EXPECT_EQ(trace.size(), 4 * kTotal);
+  EXPECT_EQ(trace.dropped(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BrokerPropertyTest,
