@@ -29,9 +29,7 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
   if (total > 0) {
     // RF/AN enqueue: the proxy aggregates per-lane counts through LDS,
     // then one non-failing AFA reserves the whole wavefront's batch.
-    unsigned producers = 0;
-    for (auto k : st.n_new) producers += k > 0;
-    co_await w.lds_ops(producers + 1);
+    co_await w.lds_ops(st.n_new.producers() + 1);
     w.bump(kQueueAtomics);
     const simt::CasResult r = co_await w.atomic_add(rear_addr(), total);
 
@@ -42,18 +40,18 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
     }
     const std::uint32_t from = st.n_parked;
     std::uint64_t ticket = r.old_value;
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
+    for_lanes(st.n_new.lanes(), [&](unsigned lane) {
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
         st.parked.ticket[st.n_parked] = ticket++;
         st.parked.token[st.n_parked++] = st.new_tokens[lane][t];
       }
-    }
+    });
     emit(w, {.step = simt::QueueStep::kReserve,
              .unit = tag_,
              .ticket = r.old_value,
              .count = total,
              .payloads = st.parked.token.data() + from});
-    st.n_new.fill(0);
+    st.n_new.clear();
     if (probes) probes->histogram(tel::kXferAggWidth).add(total);
   }
 
@@ -65,9 +63,10 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
   bool wrote_any = true;
   while (st.n_parked > 0 && wrote_any) {
     const std::uint32_t n = std::min<std::uint32_t>(st.n_parked, kWaveWidth);
+    // Lanes [0, n) are written before any is read; n >= 1.
     LaneMask mask = 0;
-    std::array<Addr, kWaveWidth> addrs{};
-    std::array<std::uint64_t, kWaveWidth> want{}, full{};
+    std::array<Addr, kWaveWidth> addrs;
+    std::array<std::uint64_t, kWaveWidth> want, full;
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint64_t index = st.parked.ticket[i] % capacity_;
       const std::uint64_t epoch = st.parked.ticket[i] / capacity_;
@@ -76,7 +75,7 @@ Kernel<void> TransferRing::publish(Wave& w, XferWaveState& st) const {
       want[i] = slot_empty_word(epoch);
       full[i] = slot_full_word(epoch, st.parked.token[i]);
     }
-    std::array<std::uint64_t, kWaveWidth> cur{};
+    std::array<std::uint64_t, kWaveWidth> cur;
     co_await w.load_lanes(mask, addrs, cur);
 
     LaneMask writable = 0;

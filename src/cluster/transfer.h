@@ -46,7 +46,7 @@ inline constexpr const char kSuperstepOccupancy[] = "superstep.occupancy";
 // Per-wave, per-destination enqueue registers (the enqueue half of
 // WaveQueueState; transfers have no dequeue side on the device).
 struct XferWaveState {
-  std::array<std::uint32_t, kWaveWidth> n_new{};
+  LaneCounts n_new;  // staged through push only
   std::array<std::array<std::uint64_t, kMaxWorkBudget>, kWaveWidth> new_tokens{};
 
   // Reserved-but-unwritten transfers, oldest ticket first; column-wise
@@ -64,13 +64,9 @@ struct XferWaveState {
       throw simt::SimError(
           "transfer ring: token exceeds the 48-bit ring payload");
     }
-    new_tokens[lane][n_new[lane]++] = token;
+    new_tokens[lane][n_new.add(lane)] = token;
   }
-  [[nodiscard]] std::uint32_t total_new() const {
-    std::uint32_t n = 0;
-    for (auto k : n_new) n += k;
-    return n;
-  }
+  [[nodiscard]] std::uint32_t total_new() const { return n_new.total(); }
   [[nodiscard]] bool has_parked() const { return n_parked != 0; }
 };
 

@@ -113,10 +113,11 @@ Kernel<void> BucketedMultiQueue::acquire_slots(Wave& w, WaveQueueState& st) {
 
   // One coalesced snapshot of the whole counter block
   // [fronts | rears | completed] (3*bands contiguous words).
+  // Lanes [0, words) are written before any is read.
   const unsigned words = 3u * bands_;
-  std::array<Addr, kWaveWidth> addrs{};
+  std::array<Addr, 3 * kMaxBands> addrs;
   for (unsigned i = 0; i < words; ++i) addrs[i] = counters_.at(i);
-  std::array<std::uint64_t, kWaveWidth> snap{};
+  std::array<std::uint64_t, 3 * kMaxBands> snap;
   const LaneMask snap_mask = (LaneMask{1} << words) - 1;
   co_await w.load_lanes(snap_mask, addrs, snap);
 
@@ -141,6 +142,15 @@ Kernel<void> BucketedMultiQueue::acquire_slots(Wave& w, WaveQueueState& st) {
       if (st.slot[lane] / per_band_ < frontier) dropped |= bit(lane);
     });
     if (dropped) {
+      // The dropped claims end here: the recorder retires the monitors
+      // of those that had already missed a poll, and the lanes' next
+      // claims start a fresh wait.
+      emit(w, {.step = simt::QueueStep::kClaimDrop,
+               .lanes = dropped,
+               .waited = st.miss_noted,
+               .tickets = st.ticket.data(),
+               .space = this});
+      st.miss_noted &= ~dropped;
       st.assigned &= ~dropped;
       st.hungry |= dropped;  // rescued lanes rejoin this cycle's claim
     }
@@ -201,18 +211,16 @@ Kernel<void> BucketedMultiQueue::publish(Wave& w, WaveQueueState& st) {
   simt::Telemetry* probes = probe_sink(w);
 
   if (total > 0) {
-    unsigned producers = 0;
-    for (auto k : st.n_new) producers += k > 0;
     // Proxy aggregation also buckets the batch by destination band
     // (per-band sub-counters in LDS — same one-pass cost).
-    co_await w.lds_ops(producers + 1);
+    co_await w.lds_ops(st.n_new.producers() + 1);
 
     std::array<std::uint32_t, kMaxBands> counts{};
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
+    for_lanes(st.n_new.lanes(), [&](unsigned lane) {
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
         ++counts[mapped_band(st.new_tokens[lane][t])];
       }
-    }
+    });
     // One non-failing AFA per destination band reserves that band's
     // share of the batch (AFA-only enqueue hot path, like RF/AN's
     // single Rear AFA fanned out across bands).
@@ -267,9 +275,9 @@ Kernel<bool> BucketedMultiQueue::all_done(Wave& w) {
   // termination open; stranded claim-ahead never does (Front is not
   // consulted).
   const unsigned words = 2u * bands_;
-  std::array<Addr, kWaveWidth> addrs{};
+  std::array<Addr, 2 * kMaxBands> addrs;
   for (unsigned i = 0; i < words; ++i) addrs[i] = counters_.at(bands_ + i);
-  std::array<std::uint64_t, kWaveWidth> values{};
+  std::array<std::uint64_t, 2 * kMaxBands> values;
   const LaneMask mask = (LaneMask{1} << words) - 1;
   co_await w.load_lanes(mask, addrs, values);
   std::uint64_t pushed = 0, done = 0;

@@ -87,11 +87,15 @@ Kernel<LaneMask> DeviceQueue::check_arrival(Wave& w, WaveQueueState& st,
   // Every ticket maps into the ring, so every assigned lane monitors a
   // real slot (an RF/AN claim past Rear simply waits for the epoch's
   // producer — or for termination — like any other not-yet-arrived slot).
-  std::array<Addr, kWaveWidth> addrs{};
+  // The per-lane arrays are written and read on assigned lanes only, so
+  // they are not zero-filled — except addrs[0]: the memory-jitter salt
+  // reads lane 0's address even when lane 0 is idle.
+  std::array<Addr, kWaveWidth> addrs;
+  addrs[0] = 0;
   for_lanes(st.assigned, [&](unsigned lane) {
     addrs[lane] = layout_.slots.base + st.slot[lane];
   });
-  std::array<std::uint64_t, kWaveWidth> values{};
+  std::array<std::uint64_t, kWaveWidth> values;
   co_await w.load_lanes(st.assigned, addrs, values);
 
   // Data has arrived when the slot holds a full word of the lane's own
@@ -144,7 +148,7 @@ Kernel<LaneMask> DeviceQueue::check_arrival(Wave& w, WaveQueueState& st,
     // atomics are needed because this lane is the slot's only consumer
     // this epoch, and the next-epoch producer keys on the sentinel we
     // store here.
-    std::array<std::uint64_t, kWaveWidth> next{};
+    std::array<std::uint64_t, kWaveWidth> next;
     for_lanes(arrived, [&](unsigned lane) {
       next[lane] = slot_empty_word(st.epoch[lane] + 1);
     });
@@ -219,10 +223,9 @@ Kernel<bool> DeviceQueue::all_done(Wave& w) {
   // task's children are enqueued before its completion is reported)
   // implies no further work can appear. Rear counts ticket reservations,
   // so parked (reserved-but-unwritten) tokens hold termination open.
-  std::array<Addr, kWaveWidth> addrs{};
-  addrs[0] = layout_.completed_addr();
-  addrs[1] = layout_.rear_addr();
-  std::array<std::uint64_t, kWaveWidth> values{};
+  const std::array<Addr, 2> addrs{layout_.completed_addr(),
+                                  layout_.rear_addr()};
+  std::array<std::uint64_t, 2> values;
   co_await w.load_lanes(LaneMask{0b11}, addrs, values);
   co_return values[0] == values[1];
 }
@@ -320,9 +323,10 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
   // epochs drains as fast as consumers recycle.
   for (;;) {
     const std::uint32_t n = std::min<std::uint32_t>(st.n_parked, kWaveWidth);
+    // Lanes [0, n) are written before any is read; n >= 1.
     LaneMask mask = 0;
-    std::array<Addr, kWaveWidth> addrs{};
-    std::array<std::uint64_t, kWaveWidth> want{}, full{};
+    std::array<Addr, kWaveWidth> addrs;
+    std::array<std::uint64_t, kWaveWidth> want, full;
     for (std::uint32_t i = 0; i < n; ++i) {
       const SlotRef ref = slot_of(st.parked.ticket[i]);
       mask |= bit(i);
@@ -330,7 +334,7 @@ Kernel<void> DeviceQueue::flush_parked(Wave& w, WaveQueueState& st) {
       want[i] = slot_empty_word(ref.epoch);
       full[i] = slot_full_word(ref.epoch, st.parked.token[i]);
     }
-    std::array<std::uint64_t, kWaveWidth> cur{};
+    std::array<std::uint64_t, kWaveWidth> cur;
     co_await w.load_lanes(mask, addrs, cur);
 
     LaneMask writable = 0;
@@ -412,9 +416,7 @@ Kernel<void> RfanQueue::publish(Wave& w, WaveQueueState& st) {
   simt::Telemetry* probes = probe_sink(w);
 
   if (total > 0) {
-    unsigned producers = 0;
-    for (auto k : st.n_new) producers += k > 0;
-    co_await w.lds_ops(producers + 1);
+    co_await w.lds_ops(st.n_new.producers() + 1);
 
     // One AFA reserves tickets for every newly discovered token in the
     // wave; the writes themselves go through the backpressured ring.
@@ -442,10 +444,9 @@ Kernel<void> AnQueue::acquire_slots(Wave& w, WaveQueueState& st) {
 
   // One coalesced snapshot of (Front, Rear) — adjacent words — gates the
   // queue-empty exception before any atomic is issued.
-  std::array<Addr, kWaveWidth> snap_addr{};
-  snap_addr[0] = layout_.front_addr();
-  snap_addr[1] = layout_.rear_addr();
-  std::array<std::uint64_t, kWaveWidth> snap{};
+  const std::array<Addr, 2> snap_addr{layout_.front_addr(),
+                                       layout_.rear_addr()};
+  std::array<std::uint64_t, 2> snap;
   co_await w.load_lanes(LaneMask{0b11}, snap_addr, snap);
   if (snap[0] >= snap[1]) {
     // Queue-empty exception: every hungry lane must retry next cycle.
@@ -491,9 +492,7 @@ Kernel<void> AnQueue::publish(Wave& w, WaveQueueState& st) {
   simt::Telemetry* probes = probe_sink(w);
 
   if (total > 0) {
-    unsigned producers = 0;
-    for (auto k : st.n_new) producers += k > 0;
-    co_await w.lds_ops(producers + 1);
+    co_await w.lds_ops(st.n_new.producers() + 1);
 
     // Proxy CAS loop reserving `total` tickets. Rear is an unbounded
     // counter now — the loop cannot fail on capacity — but claims racing
@@ -544,10 +543,9 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
   const simt::Cycle t0 = w.now();
 
   // Coalesced (Front, Rear) snapshot for the queue-empty check.
-  std::array<Addr, kWaveWidth> snap_addr{};
-  snap_addr[0] = layout_.front_addr();
-  snap_addr[1] = layout_.rear_addr();
-  std::array<std::uint64_t, kWaveWidth> snap{};
+  const std::array<Addr, 2> snap_addr{layout_.front_addr(),
+                                       layout_.rear_addr()};
+  std::array<std::uint64_t, 2> snap;
   co_await w.load_lanes(LaneMask{0b11}, snap_addr, snap);
   const std::uint64_t rear = snap[1];
   if (snap[0] >= rear) {
@@ -556,11 +554,9 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
     co_return;
   }
 
-  std::array<Addr, kWaveWidth> addrs{};
-  std::array<std::uint64_t, kWaveWidth> ones{};
-  std::array<std::uint64_t, kWaveWidth> bound{};
-  std::array<std::uint64_t, kWaveWidth> old{};
-  std::array<std::uint64_t, kWaveWidth> retries{};
+  // Written and read on `trying` lanes only.
+  std::array<Addr, kWaveWidth> addrs;
+  std::array<std::uint64_t, kWaveWidth> ones, bound, old, retries;
   for_lanes(trying, [&](unsigned lane) {
     addrs[lane] = layout_.front_addr();
     ones[lane] = 1;
@@ -604,10 +600,7 @@ Kernel<void> BaseQueue::acquire_slots(Wave& w, WaveQueueState& st) {
 
 Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
   std::array<std::uint32_t, kWaveWidth> cursor{};
-  LaneMask pending = 0;
-  for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
-    if (st.n_new[lane] > 0) pending |= bit(lane);
-  }
+  LaneMask pending = st.n_new.lanes();
   if (!pending && !st.has_parked()) co_return;
   const simt::Cycle t0 = w.now();
   simt::Telemetry* probes = probe_sink(w);
@@ -618,11 +611,9 @@ Kernel<void> BaseQueue::publish(Wave& w, WaveQueueState& st) {
   // loop always lands — contention still surfaces as folded retries —
   // and the ring write itself goes through the backpressure path.
   while (pending) {
-    std::array<Addr, kWaveWidth> addrs{};
-    std::array<std::uint64_t, kWaveWidth> ones{};
-    std::array<std::uint64_t, kWaveWidth> bound{};
-    std::array<std::uint64_t, kWaveWidth> old{};
-    std::array<std::uint64_t, kWaveWidth> retries{};
+    // Written and read on `pending` lanes only.
+    std::array<Addr, kWaveWidth> addrs;
+    std::array<std::uint64_t, kWaveWidth> ones, bound, old, retries;
     for_lanes(pending, [&](unsigned lane) {
       addrs[lane] = layout_.rear_addr();
       ones[lane] = 1;
@@ -659,8 +650,8 @@ Kernel<void> BaseQueue::report_complete(Wave& w, std::uint32_t count) {
   if (count == 0) co_return;
   // No proxy aggregation in the traditional design: each finishing lane
   // issues its own AFA on the completion counter.
-  std::array<Addr, kWaveWidth> addrs{};
-  std::array<std::uint64_t, kWaveWidth> ones{};
+  std::array<Addr, kWaveWidth> addrs;
+  std::array<std::uint64_t, kWaveWidth> ones;
   const unsigned lanes = std::min<std::uint32_t>(count, kWaveWidth);
   LaneMask mask = lanes >= kWaveWidth ? simt::kAllLanes : (bit(lanes) - 1);
   for (unsigned lane = 0; lane < lanes; ++lane) {

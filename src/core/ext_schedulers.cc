@@ -42,8 +42,11 @@ Kernel<void> LockedStack::acquire_slots(Wave& w, WaveQueueState& st) {
     // stack reuses indices under mutual exclusion, so it stays in ring
     // epoch 0 forever: occupied slots hold full(0, token), free slots
     // the epoch-0 empty sentinel.
+    // Written and read on `served` lanes only, except addrs[0]: the
+    // memory-jitter salt reads lane 0's address even when it is idle.
     LaneMask served = 0;
-    std::array<Addr, kWaveWidth> addrs{};
+    std::array<Addr, kWaveWidth> addrs;
+    addrs[0] = 0;
     std::uint64_t index = top;
     for_lanes(st.hungry, [&](unsigned lane) {
       if (index == top - take) return;
@@ -51,10 +54,10 @@ Kernel<void> LockedStack::acquire_slots(Wave& w, WaveQueueState& st) {
       served |= bit(lane);
       addrs[lane] = layout_.slots.base + index;
     });
-    std::array<std::uint64_t, kWaveWidth> values{};
+    std::array<std::uint64_t, kWaveWidth> values;
     co_await w.load_lanes(served, addrs, values);
-    std::array<std::uint64_t, kWaveWidth> empty{};
-    empty.fill(slot_empty_word(0));
+    const std::array<std::uint64_t, kWaveWidth> empty =
+        filled_lanes(slot_empty_word(0));
     co_await w.store_lanes(served, addrs, empty);
     co_await w.store(top_addr(), top - take);
 
@@ -102,9 +105,10 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
   for (std::uint32_t base = 0; base < flush; base += kWaveWidth) {
     const std::uint32_t chunk =
         std::min<std::uint32_t>(flush - base, kWaveWidth);
+    // Lanes [0, chunk) are written before any is read.
     LaneMask mask = 0;
-    std::array<Addr, kWaveWidth> addrs{};
-    std::array<std::uint64_t, kWaveWidth> vals{};
+    std::array<Addr, kWaveWidth> addrs;
+    std::array<std::uint64_t, kWaveWidth> vals;
     for (std::uint32_t i = 0; i < chunk; ++i) {
       mask |= bit(i);
       addrs[i] = layout_.slots.base + index++;
@@ -129,13 +133,15 @@ Kernel<void> LockedStack::publish(Wave& w, WaveQueueState& st) {
 
   if (total > 0) {
     const std::uint32_t write_new = std::min<std::uint64_t>(total, space);
+    // Each store's lanes [0, chunk) are written before it reads them.
     std::uint32_t written = 0;
     LaneMask mask = 0;
-    std::array<Addr, kWaveWidth> addrs{};
-    std::array<std::uint64_t, kWaveWidth> vals{};
+    std::array<Addr, kWaveWidth> addrs;
+    std::array<std::uint64_t, kWaveWidth> vals;
     unsigned chunk = 0;
     const std::uint32_t from = st.n_parked;
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
+    for (LaneMask m = st.n_new.lanes(); m != 0; m &= m - 1) {
+      const unsigned lane = static_cast<unsigned>(std::countr_zero(m));
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
         if (written < write_new) {
           mask |= bit(chunk);
@@ -234,10 +240,8 @@ Kernel<std::uint64_t> DistributedQueue::claim_from(Wave& w, WaveQueueState& st,
                                                    std::uint32_t q) {
   const unsigned n = static_cast<unsigned>(std::popcount(st.hungry));
   // Snapshot this sub-queue's (Front, Rear).
-  std::array<Addr, kWaveWidth> sa{};
-  sa[0] = front_of(q);
-  sa[1] = rear_of(q);
-  std::array<std::uint64_t, kWaveWidth> snap{};
+  const std::array<Addr, 2> sa{front_of(q), rear_of(q)};
+  std::array<std::uint64_t, 2> snap;
   co_await w.load_lanes(LaneMask{0b11}, sa, snap);
   if (snap[0] >= snap[1]) co_return std::uint64_t{0};
 
@@ -278,9 +282,7 @@ Kernel<void> DistributedQueue::publish(Wave& w, WaveQueueState& st) {
   if (total == 0 && !st.has_parked()) co_return;
 
   if (total > 0) {
-    unsigned producers = 0;
-    for (auto k : st.n_new) producers += k > 0;
-    co_await w.lds_ops(producers + 1);
+    co_await w.lds_ops(st.n_new.producers() + 1);
 
     // RF/AN-style reservation: one non-failing AFA on the home
     // sub-queue's (unbounded) Rear; the ring writes go through the
@@ -308,10 +310,11 @@ Kernel<void> DistributedQueue::report_complete(Wave& w, std::uint32_t count) {
 Kernel<bool> DistributedQueue::all_done(Wave& w) {
   // One vector load over [rears..., completed]: K+1 contiguous words.
   // Rears count reservations, so parked tokens hold termination open.
+  // Lanes [0, lanes) are written before any is read.
   const unsigned lanes = num_queues_ + 1;
-  std::array<Addr, kWaveWidth> addrs{};
+  std::array<Addr, kWaveWidth> addrs;
   for (unsigned i = 0; i < lanes; ++i) addrs[i] = counters_.at(num_queues_ + i);
-  std::array<std::uint64_t, kWaveWidth> values{};
+  std::array<std::uint64_t, kWaveWidth> values;
   const LaneMask mask =
       lanes >= kWaveWidth ? simt::kAllLanes : ((LaneMask{1} << lanes) - 1);
   co_await w.load_lanes(mask, addrs, values);

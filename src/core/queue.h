@@ -34,6 +34,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -178,6 +179,43 @@ void seed_device_queue(simt::Device& dev, const QueueLayout& q,
   return a;
 }
 
+// Tokens staged per lane in one work cycle, with their running total
+// and the mask of lanes that staged any. Queries and clear() are O(1)
+// and batch walks visit only the staging lanes, so an idle poll cycle
+// pays nothing for the 64 counters. A lane's count restarts the first
+// time it stages after clear(); lanes outside lanes() read 0.
+class LaneCounts {
+ public:
+  [[nodiscard]] std::uint32_t operator[](unsigned lane) const {
+    return (lanes_ & bit(lane)) != 0 ? n_[lane] : 0;
+  }
+  // Counts one more token on `lane`; returns its index in the lane's
+  // batch.
+  std::uint32_t add(unsigned lane) {
+    if ((lanes_ & bit(lane)) == 0) {
+      lanes_ |= bit(lane);
+      n_[lane] = 0;
+    }
+    ++total_;
+    return n_[lane]++;
+  }
+  [[nodiscard]] LaneMask lanes() const { return lanes_; }
+  [[nodiscard]] std::uint32_t total() const { return total_; }
+  // Lanes the proxy thread aggregates (its LDS atomic count).
+  [[nodiscard]] unsigned producers() const {
+    return static_cast<unsigned>(std::popcount(lanes_));
+  }
+  void clear() {
+    lanes_ = 0;
+    total_ = 0;
+  }
+
+ private:
+  std::array<std::uint32_t, kWaveWidth> n_{};
+  LaneMask lanes_ = 0;
+  std::uint32_t total_ = 0;
+};
+
 // Per-wave queue registers, kept in the kernel coroutine frame.
 struct WaveQueueState {
   // Dequeue side.
@@ -210,8 +248,9 @@ struct WaveQueueState {
   std::array<std::uint64_t, kWaveWidth> deliver_ticket = filled_lanes(kNoTask);
 
   // Enqueue side: lane i publishes n_new[i] tokens this cycle, each
-  // carrying the trace id of the task that spawned it.
-  std::array<std::uint32_t, kWaveWidth> n_new{};
+  // carrying the trace id of the task that spawned it. Staged through
+  // push_token only.
+  LaneCounts n_new;
   std::array<std::array<std::uint64_t, kMaxWorkBudget>, kWaveWidth> new_tokens{};
   std::array<std::array<std::uint64_t, kMaxWorkBudget>, kWaveWidth> new_parents{};
 
@@ -280,7 +319,7 @@ struct WaveQueueState {
   std::array<std::uint8_t, kWaveWidth> backoff_exp{};
   std::array<std::uint8_t, kWaveWidth> backoff_wait{};
 
-  void clear_produce() { n_new.fill(0); }
+  void clear_produce() { n_new.clear(); }
   // `parent` is the trace id of the task whose execution discovered this
   // token (drivers pass the lane's deliver_ticket); it flows into the
   // child's kReserve task-trace event as the causal spawn edge.
@@ -290,14 +329,11 @@ struct WaveQueueState {
       throw simt::SimError(
           "push_token: token exceeds the 48-bit ring payload (kMaxToken)");
     }
-    new_parents[lane][n_new[lane]] = parent;
-    new_tokens[lane][n_new[lane]++] = token;
+    const std::uint32_t i = n_new.add(lane);
+    new_parents[lane][i] = parent;
+    new_tokens[lane][i] = token;
   }
-  [[nodiscard]] std::uint32_t total_new() const {
-    std::uint32_t n = 0;
-    for (auto k : n_new) n += k;
-    return n;
-  }
+  [[nodiscard]] std::uint32_t total_new() const { return n_new.total(); }
 };
 
 // Host-side control-block snapshot for the black-box dump: one entry
@@ -501,12 +537,12 @@ class DeviceQueue : public simt::TicketSpace {
   template <typename NextTicket>
   void park_new(Wave& w, WaveQueueState& st, NextTicket&& next_ticket) {
     const std::uint32_t from = st.n_parked;
-    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
+    for_lanes(st.n_new.lanes(), [&](unsigned lane) {
       for (std::uint32_t t = 0; t < st.n_new[lane]; ++t) {
         park(w, st, next_ticket(st.new_tokens[lane][t]),
              st.new_tokens[lane][t], st.new_parents[lane][t]);
       }
-    }
+    });
     emit_reserved(w, st, from);
     st.clear_produce();
   }

@@ -149,6 +149,15 @@ void FlightRecorder::consume(const QueueEvent& e) {
       batch(FlightKind::kDeliver);
       if (waited != 0) full(FlightKind::kDeliver, waited, true);
       break;
+    case QueueStep::kClaimDrop:
+      // No ring event: the claim simply stops being a wait.
+      if (waited != 0) {
+        std::lock_guard<std::mutex> lock(mu_);
+        for_lanes(waited, [&](unsigned lane) {
+          monitors_.erase({0, e.unit, e.ticket_at(lane)});
+        });
+      }
+      break;
     case QueueStep::kComplete:
       record({FlightKind::kComplete, e.actor, e.unit, 0, e.count, e.band,
               e.cycle});

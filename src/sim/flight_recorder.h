@@ -18,7 +18,8 @@
 //   monitors  one entry per dequeue claim currently *waiting*: the wave
 //             that claimed ticket t is monitoring t's slot for data
 //             that has not arrived (inserted on kClaim, erased on
-//             kDeliver).
+//             kDeliver, or silently when a closed-band rescue drops
+//             the claim).
 //   parked    one entry per enqueue reservation currently *waiting*:
 //             the wave that reserved ticket t is parked until t's ring
 //             slot recycles (inserted on kReserve/kXferReserve, erased

@@ -37,6 +37,8 @@ enum class QueueStep : std::uint8_t {
   kWrite,         // payloads written into ring slots
   kClaim,         // dequeue tickets claimed (lanes monitor their slots)
   kClaimWait,     // claims whose first arrival poll missed: a monitor wait
+  kClaimDrop,     // claims abandoned undelivered (closed-band rescue); the
+                  // `waited` ones had monitor waits open
   kDeliver,       // payloads observed by their consumers
   kComplete,      // `count` tasks reported complete in `band`
   kBandClose,     // `band` observed closed; `ticket` is its final Rear

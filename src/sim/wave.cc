@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <span>
 
 #include "sim/device.h"
 
@@ -107,31 +108,55 @@ void Wave::StoreAwait::await_suspend(std::coroutine_handle<> h) {
 
 namespace {
 
-// Counts distinct 64B lines (coalescing) in stream order. The common
-// case — lanes walking consecutive addresses — arrives already sorted,
-// so adjacent duplicates collapse on the fly and the sort only runs
-// when the stream is non-monotonic. The count matches sort+unique over
-// all active lanes exactly, whichever path is taken.
+// Counts distinct 64B lines (coalescing) over a wave's active lanes.
+// The common case — lanes walking consecutive addresses — arrives in
+// non-decreasing line order, so add() counts line changes on the fly
+// and stores nothing. A stream that steps backwards (a wave's monitored
+// ring slots, scattered gathers) is recounted by count() with one pass
+// through a small open-addressed set. Either way the count equals
+// sort + unique over all active lanes exactly.
 class LineCounter {
  public:
   void add(Addr addr) {
     const Addr line = addr >> 3;  // 8 words per 64B line
     if (n_ != 0) {
-      if (line == lines_[n_ - 1]) return;
-      if (line < lines_[n_ - 1]) sorted_ = false;
+      if (line == last_) return;
+      if (line < last_) sorted_ = false;
     }
-    lines_[n_++] = line;
+    last_ = line;
+    ++n_;
   }
 
-  [[nodiscard]] unsigned count() {
+  // `active` and `addrs` are the stream add() saw, in lane order.
+  [[nodiscard]] unsigned count(LaneMask active,
+                               std::span<const Addr> addrs) const {
     if (sorted_) return n_;
-    std::sort(lines_.begin(), lines_.begin() + n_);
-    return static_cast<unsigned>(
-        std::unique(lines_.begin(), lines_.begin() + n_) - lines_.begin());
+    // At most 64 lines in 128 buckets keeps the load at or below 1/2.
+    // A bucket's key is read only once its `used` bit is set.
+    constexpr unsigned kBuckets = 2 * kWaveWidth;
+    std::array<Addr, kBuckets> keys;
+    std::array<std::uint64_t, kBuckets / 64> used{};
+    unsigned distinct = 0;
+    for_lanes(active, [&](unsigned lane) {
+      const Addr line = addrs[lane] >> 3;
+      // Fibonacci hashing: the top 7 bits of line * 2^64/phi.
+      unsigned b = static_cast<unsigned>((line * 0x9e3779b97f4a7c15ull) >> 57);
+      for (;; b = (b + 1) % kBuckets) {
+        const std::uint64_t flag = std::uint64_t{1} << (b % 64);
+        if ((used[b / 64] & flag) == 0) {
+          used[b / 64] |= flag;
+          keys[b] = line;
+          ++distinct;
+          return;
+        }
+        if (keys[b] == line) return;
+      }
+    });
+    return distinct;
   }
 
  private:
-  std::array<Addr, kWaveWidth> lines_{};
+  Addr last_ = 0;
   unsigned n_ = 0;
   bool sorted_ = true;
 };
@@ -165,7 +190,7 @@ void Wave::VecLoadAwait::await_suspend(std::coroutine_handle<> h) {
       out[lane] = words[a];
       counter.add(a);
     }
-    lines = counter.count();
+    lines = counter.count(active, addrs);
   }
   DeviceStats& s = w.stats();
   s.global_loads += 1;
@@ -200,7 +225,7 @@ void Wave::VecStoreAwait::await_suspend(std::coroutine_handle<> h) {
       words[a] = values[lane];
       counter.add(a);
     }
-    lines = counter.count();
+    lines = counter.count(active, addrs);
   }
   DeviceStats& s = w.stats();
   s.global_stores += 1;

@@ -605,5 +605,36 @@ TEST(PtDriverTest, RfanUsesFewerAtomicsThanBase) {
   EXPECT_LT(rfan.cycles, base.cycles);
 }
 
+// check_arrival leaves its per-lane frame arrays unfilled, but the
+// memory-jitter salt reads lane 0's address even when lane 0 is idle.
+// A poll with lane 0 idle must therefore cost the same whatever an
+// earlier poll left in the pooled coroutine frame.
+TEST(DeviceQueueTest, IdleLaneZeroPollIgnoresStaleFrameBytes) {
+  const auto idle_lane0_poll = [](std::uint64_t earlier_lane0_slot) {
+    DeviceConfig cfg = test_config(1, 1);
+    cfg.sched_seed = 7;
+    cfg.sched_mem_jitter = 48;
+    Device dev(cfg);
+    RfanQueue q(make_device_queue(dev, 16));
+    simt::Cycle elapsed = 0;
+    const auto poll = [&](LaneMask lanes, std::uint64_t lane0_slot) {
+      (void)dev.launch(1, [&](Wave& w) -> Kernel<void> {
+        WaveQueueState st{};
+        st.assigned = lanes;
+        st.slot[0] = lane0_slot;
+        st.slot[1] = 1;
+        std::array<std::uint64_t, kWaveWidth> tokens{};
+        const simt::Cycle t0 = w.now();
+        co_await q.check_arrival(w, st, tokens);  // empty slots: one load
+        elapsed = w.now() - t0;
+      });
+    };
+    poll(0b11, earlier_lane0_slot);  // lane 0's address lands in the frame
+    poll(0b10, 0);
+    return elapsed;
+  };
+  EXPECT_EQ(idle_lane0_poll(3), idle_lane0_poll(11));
+}
+
 }  // namespace
 }  // namespace scq

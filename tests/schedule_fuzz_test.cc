@@ -312,8 +312,18 @@ TEST(ScheduleFuzz, SameSeedIsBitExact) {
   c.seed = 1234;
   c.variant = QueueVariant::kRfan;
   c.workload = Workload::kRandom;
+  // An unrelated run between the two: the pooled coroutine frames the
+  // second run reuses then hold other stale bytes than the first run's,
+  // so a frame array read before it is written (e.g. a lane-0 address
+  // salting the memory jitter) would diverge the schedule.
+  SimFuzzCase other = c;
+  other.seed = 99;
+  other.workload = Workload::kTree;
+  other.capacity = 56;
   std::vector<OpRecord> first_records, second_records;
   const FuzzOutcome a = run_sim_fuzz_case(c, &first_records);
+  const FuzzOutcome between = run_sim_fuzz_case(other);
+  EXPECT_TRUE(between.ok()) << between.describe(other);
   const FuzzOutcome b = run_sim_fuzz_case(c, &second_records);
   EXPECT_TRUE(a.ok()) << a.describe(c);
   EXPECT_EQ(a.run.cycles, b.run.cycles);

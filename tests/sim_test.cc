@@ -3,6 +3,7 @@
 // divergence masks, workgroup dispatch, abort, and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -236,6 +237,48 @@ TEST(Device, CoalescingChargesDistinctLines) {
   EXPECT_EQ(a.stats.lines_touched, 8u);
   EXPECT_EQ(b.stats.lines_touched, 64u);
   EXPECT_LT(a.cycles, b.cycles);
+
+  // Streams that are not in address order (the fast path only counts
+  // non-decreasing ones): each gather and each scatter must charge the
+  // distinct lines of its active lanes, as sort + unique counts them.
+  const auto reference = [](LaneMask mask,
+                            const std::array<Addr, kWaveWidth>& addrs) {
+    std::vector<Addr> lines;
+    for (unsigned lane = 0; lane < kWaveWidth; ++lane) {
+      if (mask & (LaneMask{1} << lane)) lines.push_back(addrs[lane] >> 3);
+    }
+    std::sort(lines.begin(), lines.end());
+    return static_cast<std::uint64_t>(
+        std::unique(lines.begin(), lines.end()) - lines.begin());
+  };
+  struct Stream {
+    const char* name;
+    LaneMask mask;
+    std::array<Addr, kWaveWidth> addrs;
+  };
+  Stream permuted{"permuted", kAllLanes, {}};
+  Stream duplicate{"duplicate lines", kAllLanes, {}};
+  Stream ring{"ring wrap", kAllLanes, {}};
+  Stream sparse{"ring wrap, odd lanes", 0xaaaaaaaaaaaaaaaaull, {}};
+  for (unsigned i = 0; i < kWaveWidth; ++i) {
+    permuted.addrs[i] = buf.at((i * 37) % kWaveWidth);   // 8 lines, shuffled
+    duplicate.addrs[i] = buf.at((i % 5) * 24 + i % 3);   // 5 lines, revisited
+    ring.addrs[i] = buf.at((300 + i * 5) % 317);         // wraps past slot 316
+    sparse.addrs[i] = buf.at((450 + i * 3) % 500);
+  }
+  for (const Stream& st : {permuted, duplicate, ring, sparse}) {
+    const std::uint64_t want = reference(st.mask, st.addrs);
+    const auto load = dev.launch(1, [&](Wave& w) -> Kernel<void> {
+      co_await w.load_lanes(st.mask, st.addrs, out);
+    });
+    const auto store = dev.launch(1, [&](Wave& w) -> Kernel<void> {
+      co_await w.store_lanes(st.mask, st.addrs, out);
+    });
+    EXPECT_EQ(load.stats.lines_touched, want) << st.name;
+    EXPECT_EQ(store.stats.lines_touched, want) << st.name;
+  }
+  EXPECT_EQ(reference(kAllLanes, permuted.addrs), 8u);
+  EXPECT_EQ(reference(kAllLanes, duplicate.addrs), 5u);
 }
 
 TEST(Device, NestedKernelsCompose) {

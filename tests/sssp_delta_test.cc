@@ -5,6 +5,7 @@
 // token-packing boundary (the 22-bit cost saturation policy).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "bfs/pt_sssp.h"
@@ -13,6 +14,7 @@
 #include "core/counters.h"
 #include "graph/generators.h"
 #include "graph/sssp_ref.h"
+#include "sim/flight_recorder.h"
 #include "support/queue_checker.h"
 #include "support/sssp_serial_ref.h"
 
@@ -206,6 +208,34 @@ TEST(PtSsspDelta, HistoryPassesBandedChecker) {
       history.snapshot(), {.capacity = 128, .num_bands = 8});
   EXPECT_TRUE(check.ok()) << check.report();
   EXPECT_GT(check.delivered, 0u);
+}
+
+// The closed-band rescue drops claim-ahead lanes from their monitors;
+// the flight recorder must retire the monitor waits of those claims,
+// so after a clean run it holds at most one monitor per lane (the
+// claims still pending when the kernel exited), never a dropped one.
+TEST(PtSsspDelta, RescuedClaimsLeaveNoStaleMonitors) {
+  simt::DeviceConfig cfg = small_device();
+  cfg.num_cus = 2;  // 4 waves, 256 lanes
+  const graph::Graph g = make_grid(32, 32, 23);
+  for (const std::uint32_t bands : {2u, 4u, 8u}) {
+    simt::FlightRecorder recorder;
+    PtSsspDeltaOptions opt;
+    opt.num_bands = bands;
+    opt.recorder = &recorder;
+    const SsspResult r = run_pt_sssp_delta(cfg, g, 0, opt);
+    ASSERT_FALSE(r.run.aborted) << bands << " bands";
+    ASSERT_EQ(r.dist, graph::dijkstra(g, 0)) << bands << " bands";
+    EXPECT_GT(r.run.stats.user[kBandCloses], 0u) << bands << " bands";
+    std::map<std::uint32_t, std::uint64_t> per_wave;
+    for (const auto& [key, wait] : recorder.monitors()) ++per_wave[wait.actor];
+    EXPECT_LE(per_wave.size(), cfg.resident_waves()) << bands << " bands";
+    for (const auto& [actor, n] : per_wave) {
+      EXPECT_LE(n, simt::kWaveWidth)
+          << "wave " << actor << " holds " << n << " monitors, " << bands
+          << " bands";
+    }
+  }
 }
 
 // ---- Token-packing boundary: the 22-bit cost saturation policy ----
